@@ -40,8 +40,7 @@ standardTrace(solar::SiteId site, solar::Month month)
 core::DayResult
 runDay(solar::SiteId site, solar::Month month, workload::WorkloadId wl,
        core::PolicyKind policy, double fixed_budget_w, bool timeline,
-       double dt_seconds, pv::MppCache *mpp_cache,
-       obs::StatsRegistry *stats, obs::TraceBuffer *trace,
+       double dt_seconds, obs::StatsRegistry *stats, obs::TraceBuffer *trace,
        obs::TelemetryRecorder *telemetry, obs::Auditor *audit)
 {
     core::SimConfig cfg;
@@ -50,7 +49,6 @@ runDay(solar::SiteId site, solar::Month month, workload::WorkloadId wl,
     cfg.dtSeconds = dt_seconds;
     cfg.recordTimeline = timeline;
     cfg.seed = kBenchSeed;
-    cfg.mppCache = mpp_cache;
     cfg.stats = stats;
     cfg.trace = trace;
     cfg.telemetry = telemetry;

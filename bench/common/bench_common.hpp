@@ -40,9 +40,6 @@ inline constexpr double kBenchDtSeconds = 30.0;
  * @param fixed_budget_w Fixed-Power budget (ignored for MPPT policies)
  * @param timeline     record the per-minute trace
  * @param dt_seconds   simulation step
- * @param mpp_cache    optional cross-day MPP memo (one per worker);
- *                     sweeps replaying one trace for many workloads
- *                     and budgets solve each environment only once
  * @param stats        optional stats registry (one per worker)
  * @param trace        optional event-trace sink (one per worker)
  * @param telemetry    optional per-step waveform recorder
@@ -52,7 +49,6 @@ core::DayResult runDay(solar::SiteId site, solar::Month month,
                        workload::WorkloadId wl, core::PolicyKind policy,
                        double fixed_budget_w = 75.0, bool timeline = false,
                        double dt_seconds = kBenchDtSeconds,
-                       pv::MppCache *mpp_cache = nullptr,
                        obs::StatsRegistry *stats = nullptr,
                        obs::TraceBuffer *trace = nullptr,
                        obs::TelemetryRecorder *telemetry = nullptr,

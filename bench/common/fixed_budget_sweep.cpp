@@ -23,14 +23,11 @@ runFixedBudgetSweep(int threads)
     const auto wls = sweepWorkloads();
     const auto site_months = solar::allSiteMonths();
 
-    // One task per site-month: tasks only write their own result slot,
-    // and within a task every day replays the same trace, so a single
-    // per-task MPP memo serves all (workloads + budgets) x days runs.
+    // One task per site-month: tasks only write their own result slot.
     std::vector<std::vector<FixedSweepCell>> per_task(site_months.size());
     ThreadPool pool(threads);
     pool.parallelFor(site_months.size(), [&](std::size_t task) {
         const auto [site, month] = site_months[task];
-        pv::MppCache mpp_cache(standardModule(), 1, 1);
 
         // SolarCore reference per workload.
         std::vector<core::DayResult> refs;
@@ -38,7 +35,7 @@ runFixedBudgetSweep(int threads)
         for (auto wl : wls)
             refs.push_back(runDay(site, month, wl,
                                   core::PolicyKind::MpptOpt, 75.0, false,
-                                  kBenchDtSeconds, &mpp_cache));
+                                  kBenchDtSeconds));
 
         for (double budget : kFixedBudgets) {
             FixedSweepCell cell;
@@ -50,7 +47,7 @@ runFixedBudgetSweep(int threads)
             for (std::size_t i = 0; i < wls.size(); ++i) {
                 const auto r = runDay(site, month, wls[i],
                                       core::PolicyKind::FixedPower, budget,
-                                      false, kBenchDtSeconds, &mpp_cache);
+                                      false, kBenchDtSeconds);
                 e.add(refs[i].solarEnergyWh > 0.0
                           ? r.solarEnergyWh / refs[i].solarEnergyWh
                           : 0.0);

@@ -36,9 +36,8 @@ struct FixedSweepCell
 
 /**
  * Run the full sweep. Site-month cells are independent, so they fan
- * across @p threads pool workers; each worker reuses one MPP memo for
- * every run of its trace, and cells are assembled in index order so
- * the output is byte-identical for any thread count.
+ * across @p threads pool workers, and cells are assembled in index
+ * order so the output is byte-identical for any thread count.
  */
 std::vector<FixedSweepCell> runFixedBudgetSweep(int threads = 1);
 

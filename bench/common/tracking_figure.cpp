@@ -30,11 +30,11 @@ printTrackingFigure(solar::SiteId site, solar::Month month,
                         "), budget vs consumption [W]");
     }
 
-    // Warm the shared trace cache before fanning out, then give each
-    // worker its own MPP memo; results land in index-addressed slots.
-    // Observability follows the same pattern: per-worker registries
-    // and trace buffers, merged below in task-index order, keep every
-    // output byte-identical at any thread count.
+    // Warm the shared trace cache before fanning out; results land in
+    // index-addressed slots. Observability follows the same pattern:
+    // per-worker registries and trace buffers, merged below in
+    // task-index order, keep every output byte-identical at any
+    // thread count.
     standardTrace(site, month);
     const bool want_stats = obs && obs->statsRequested();
     const bool want_trace = obs && obs->traceRequested();
@@ -43,7 +43,6 @@ printTrackingFigure(solar::SiteId site, solar::Month month,
     std::unique_ptr<obs::TraceBuffer> tbufs[3];
     ThreadPool pool(threads);
     pool.parallelFor(3, [&](std::size_t i) {
-        pv::MppCache mpp_cache(standardModule(), 1, 1);
         if (want_stats)
             regs[i] = std::make_unique<obs::StatsRegistry>();
         if (want_trace)
@@ -51,7 +50,7 @@ printTrackingFigure(solar::SiteId site, solar::Month month,
                 std::make_unique<obs::TraceBuffer>(obs->traceBufferCap);
         results[i] = runDay(site, month, wls[i], core::PolicyKind::MpptOpt,
                             75.0, /*timeline=*/true, /*dt=*/15.0,
-                            &mpp_cache, regs[i].get(), tbufs[i].get());
+                            regs[i].get(), tbufs[i].get());
     });
 
     if (obs && obs->anyRequested()) {

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -78,39 +77,6 @@ BM_FindMppNewton(benchmark::State &state)
     pv::setNewtonIvSolve(false);
 }
 BENCHMARK(BM_FindMppNewton);
-
-void
-BM_FindMppCached(benchmark::State &state)
-{
-    // Replayed trace: the fixed-budget sweep re-solves the same
-    // environment sequence once per workload x budget combination.
-    const auto &module = bench::standardModule();
-    pv::MppCache cache(module, 1, 1);
-    const pv::Environment envs[] = {
-        {200.0, 28.0}, {450.0, 34.0}, {700.0, 41.0}, {850.0, 46.0},
-        {920.0, 49.0}, {700.0, 44.0}, {400.0, 36.0},
-    };
-    std::size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(cache.mpp(envs[i]));
-        i = (i + 1) % std::size(envs);
-    }
-}
-BENCHMARK(BM_FindMppCached);
-
-void
-BM_MppGridRefined(benchmark::State &state)
-{
-    const auto &module = bench::standardModule();
-    const pv::MppGrid grid(module, 1, 1, 50.0, 1000.0, 20, -10.0, 75.0,
-                           18);
-    double g = 100.0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(grid.refined({g, 25.0 + g * 0.02}));
-        g = g < 950.0 ? g + 37.0 : 100.0;
-    }
-}
-BENCHMARK(BM_MppGridRefined);
 
 void
 BM_PinRailVoltage(benchmark::State &state)
@@ -231,27 +197,6 @@ BM_EvalIvBatchAvx2(benchmark::State &state)
 BENCHMARK(BM_EvalIvBatchAvx2)->Arg(1024);
 
 void
-BM_MppCacheLookupBatch(benchmark::State &state)
-{
-    // Steady-state batched replay: the same 7 distinct conditions the
-    // scalar BM_FindMppCached cycles through, batched 64 at a time.
-    const auto &module = bench::standardModule();
-    pv::MppCache cache(module, 1, 1);
-    std::vector<pv::Environment> envs(64);
-    const auto trace = batchEnvTrace(7);
-    for (std::size_t k = 0; k < envs.size(); ++k)
-        envs[k] = trace[k % trace.size()];
-    std::vector<pv::MppResult> out(envs.size());
-    for (auto _ : state) {
-        cache.lookupBatch(envs, out);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(envs.size()));
-}
-BENCHMARK(BM_MppCacheLookupBatch);
-
-void
 BM_PinRailVoltagePrepared(benchmark::State &state)
 {
     // The controller fast path: warm Newton on a prepared environment
@@ -356,24 +301,6 @@ BENCHMARK(BM_SimulatedDayNewton)
     ->Unit(benchmark::kMillisecond);
 
 void
-BM_SimulatedDayCached(benchmark::State &state)
-{
-    // Cross-day memo shared across repetitions, as in the sweeps.
-    pv::MppCache cache(bench::standardModule(), 1, 1);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            bench::runDay(solar::SiteId::AZ, solar::Month::Apr,
-                          workload::WorkloadId::HM2,
-                          core::PolicyKind::MpptOpt, 75.0, false,
-                          static_cast<double>(state.range(0)), &cache));
-    }
-}
-BENCHMARK(BM_SimulatedDayCached)
-    ->Arg(60)
-    ->Arg(30)
-    ->Unit(benchmark::kMillisecond);
-
-void
 BM_SimulatedDayScalarKernel(benchmark::State &state)
 {
     // End-to-end day with the batch kernels disabled: everything the
@@ -471,8 +398,8 @@ void
 BM_ProfileScopeDetached(benchmark::State &state)
 {
     // SC_PROFILE_SCOPE with no profiler attached: one thread-local
-    // load and a branch. This is what the scopes embedded in the I-V
-    // solve / MPP cache / TPR allocator cost in every normal run.
+    // load and a branch. This is what the scopes embedded in the
+    // batched MPP solve / TPR allocator cost in every normal run.
     for (auto _ : state) {
         SC_PROFILE_SCOPE("detached");
         benchmark::DoNotOptimize(&state);
@@ -546,8 +473,8 @@ BM_SimulatedDayTraced(benchmark::State &state)
             bench::runDay(solar::SiteId::AZ, solar::Month::Apr,
                           workload::WorkloadId::HM2,
                           core::PolicyKind::MpptOpt, 75.0, false,
-                          static_cast<double>(state.range(0)), nullptr,
-                          &reg, &buf));
+                          static_cast<double>(state.range(0)), &reg,
+                          &buf));
     }
 }
 BENCHMARK(BM_SimulatedDayTraced)
@@ -567,7 +494,7 @@ BM_SimulatedDayTelemetry(benchmark::State &state)
                           workload::WorkloadId::HM2,
                           core::PolicyKind::MpptOpt, 75.0, false,
                           static_cast<double>(state.range(0)), nullptr,
-                          nullptr, nullptr, &rec));
+                          nullptr, &rec));
     }
 }
 BENCHMARK(BM_SimulatedDayTelemetry)
@@ -605,7 +532,7 @@ BM_SimulatedDayAudited(benchmark::State &state)
                           workload::WorkloadId::HM2,
                           core::PolicyKind::MpptOpt, 75.0, false,
                           static_cast<double>(state.range(0)), nullptr,
-                          nullptr, nullptr, nullptr, &audit));
+                          nullptr, nullptr, &audit));
     }
 }
 BENCHMARK(BM_SimulatedDayAudited)
@@ -624,15 +551,11 @@ BM_TrackingSweepParallel(benchmark::State &state)
     for (auto _ : state) {
         ThreadPool pool(threads);
         std::vector<core::DayResult> results(policies.size());
-        std::vector<pv::MppCache> caches;
-        caches.reserve(policies.size());
-        for (std::size_t i = 0; i < policies.size(); ++i)
-            caches.emplace_back(bench::standardModule(), 1, 1);
         pool.parallelFor(policies.size(), [&](std::size_t i) {
             results[i] = bench::runDay(
                 solar::SiteId::AZ, solar::Month::Jan,
                 workload::WorkloadId::HM2, *(policies.begin() + i), 75.0,
-                false, 60.0, &caches[i]);
+                false, 60.0);
         });
         benchmark::DoNotOptimize(results.data());
     }

@@ -7,7 +7,7 @@
 # pairs: BM_CellCurrentSolveNewton / BM_FindMppNewton /
 # BM_SimulatedDayNewton force the retained damped-Newton I-V path (the
 # seed implementation), so one run captures both sides of the
-# Lambert-W / MPP-cache comparison, and BM_SimulatedDayObsOff /
+# Lambert-W comparison, and BM_SimulatedDayObsOff /
 # BM_SimulatedDayTraced bracket the instrumentation layer's overhead.
 # BM_FindMppBatch* / BM_EvalIvBatch* / BM_SimulatedDayScalarKernel
 # bracket the batched SoA kernels against the scalar oracle, and the
@@ -228,27 +228,6 @@ for name, label in (("BM_SimulatedDayTelemetry/60", "telemetry"),
     print(f"{label} attached overhead: {(t - base) / base * 100.0:+.2f}% "
           f"({t:.3f} ms vs base {base:.3f} ms)")
 EOF
-
-# One-line MPP-cache summary from an instrumented CLI day (the sweep
-# binaries share caches across runs; a single day is all misses).
-cli_bin="${build_dir}/tools/solarcore_cli"
-if [[ -x "${cli_bin}" ]]; then
-    stats_tmp="$(mktemp)"
-    "${cli_bin}" summary --site AZ --month Apr \
-        --stats-out="${stats_tmp}" > /dev/null
-    python3 - "${stats_tmp}" <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    s = json.load(f)
-hits = s.get("pv.mppCache.hits", 0)
-misses = s.get("pv.mppCache.misses", 0)
-rate = s.get("pv.mppCache.hitRate", 0.0)
-print(f"mpp cache: {int(hits)} hits / {int(misses)} misses "
-      f"(hit rate {rate * 100.0:.1f}%)")
-EOF
-    rm -f "${stats_tmp}" "${stats_tmp}.manifest.json"
-fi
 
 # --- batched-kernel campaign speedup (BENCH_campaign.json) ----------
 # The fig13 preset, once with the batch kernels disabled (scalar

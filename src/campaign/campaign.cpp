@@ -25,7 +25,6 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "pv/bp3180n.hpp"
-#include "pv/mpp_cache.hpp"
 #include "pv/pv_kernel.hpp"
 #include "solar/trace.hpp"
 #include "util/cpuid.hpp"
@@ -125,9 +124,6 @@ runUnit(const ScenarioUnit &unit, const ScenarioGrid &grid,
             module, day_trace, unit.workload, grid.batteryDerating, cfg));
     } else {
         cfg.policy = toSimPolicy(unit.policy);
-        pv::MppCache mpp_cache(module, cfg.modulesSeries,
-                               cfg.modulesParallel);
-        cfg.mppCache = &mpp_cache;
         m = fromDayResult(
             core::simulateDay(module, day_trace, unit.workload, cfg));
     }

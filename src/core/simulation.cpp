@@ -15,6 +15,7 @@
 #include "power/ats.hpp"
 #include "power/battery.hpp"
 #include "pv/mpp.hpp"
+#include "pv/pv_kernel.hpp"
 #include "util/logging.hpp"
 #include "util/stats.hpp"
 
@@ -86,18 +87,10 @@ emitRetrack(obs::TraceBuffer *trace, obs::RetrackCause cause,
     trace->emit(e);
 }
 
-/**
- * Fold one simulated day's counters into the caller's registry. The
- * MPP-cache numbers are deltas against the counts at day start so a
- * shared cross-day cache is not double-counted; the hit rate is a
- * formula over the accumulated operands, so it stays correct when
- * per-worker registries are merged.
- */
+/** Fold one simulated day's counters into the caller's registry. */
 void
 foldDayStats(obs::StatsRegistry &reg, const DayResult &day,
-             const cpu::MultiCoreChip &chip,
-             const pv::MppCache::Stats &cache_now,
-             const pv::MppCache::Stats &cache_start)
+             const cpu::MultiCoreChip &chip)
 {
     ++reg.scalar("sim.days", "simulated days folded into this registry");
     reg.scalar("sim.mppEnergyWh", "theoretical MPP energy [Wh]") +=
@@ -143,31 +136,6 @@ foldDayStats(obs::StatsRegistry &reg, const DayResult &day,
         static_cast<double>(chip.totalDvfsTransitions());
     reg.scalar("chip.gateTransitions", "PCPG transitions, all cores") +=
         static_cast<double>(chip.totalGateTransitions());
-
-    reg.scalar("pv.mppCache.hits", "MPP memo hits") +=
-        static_cast<double>(cache_now.hits - cache_start.hits);
-    reg.scalar("pv.mppCache.misses", "MPP memo misses (full solves)") +=
-        static_cast<double>(cache_now.misses - cache_start.misses);
-    reg.formula("pv.mppCache.hitRate",
-                dayFormulaByName("pv.mppCache.hitRate"),
-                "hit fraction of MPP memo lookups");
-}
-
-/**
- * Select the day's MPP memo: the caller-provided cross-day cache when
- * it matches this simulation's array, else a fresh per-day one (still
- * collapses repeated trace conditions, e.g. the overcast plateaus).
- */
-pv::MppCache &
-selectMppCache(std::optional<pv::MppCache> &local,
-               const pv::PvModule &module, const SimConfig &cfg)
-{
-    if (cfg.mppCache &&
-        cfg.mppCache->compatibleWith(module, cfg.modulesSeries,
-                                     cfg.modulesParallel))
-        return *cfg.mppCache;
-    local.emplace(module, cfg.modulesSeries, cfg.modulesParallel);
-    return *local;
 }
 
 /** Caller-owned workspace when provided, else a per-call local one. */
@@ -181,8 +149,8 @@ selectWorkspace(std::optional<SimWorkspace> &local, const SimConfig &cfg)
 }
 
 /**
- * Stage the per-step environments for @p trace into @p ws and resolve
- * their MPPs in one batched lookup. The minute walk replicates the
+ * Stage the per-step environments for @p trace into @p ws and solve
+ * their MPPs in one findMppBatch call. The minute walk replicates the
  * drivers' main loops exactly, so step indices line up one-to-one.
  * assign()/clear() reset contents but keep capacity: with a reused
  * workspace this allocates only when the trace grows.
@@ -190,7 +158,7 @@ selectWorkspace(std::optional<SimWorkspace> &local, const SimConfig &cfg)
 void
 stageStepMpps(SimWorkspace &ws, const pv::PvModule &module,
               const solar::SolarTrace &trace, double dt_min,
-              pv::MppCache &mpp_cache)
+              const SimConfig &cfg)
 {
     ws.stepEnvs.clear();
     for (double minute = trace.startMinute(); minute <= trace.endMinute();
@@ -200,7 +168,8 @@ stageStepMpps(SimWorkspace &ws, const pv::PvModule &module,
         ws.stepEnvs.push_back({g, module.cellTempFromAmbient(ambient, g)});
     }
     ws.stepMpps.assign(ws.stepEnvs.size(), pv::MppResult{});
-    mpp_cache.lookupBatch(ws.stepEnvs, ws.stepMpps);
+    pv::findMppBatch(module, cfg.modulesSeries, cfg.modulesParallel,
+                     ws.stepEnvs, ws.stepMpps);
 }
 
 /**
@@ -329,8 +298,6 @@ simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
     chip.setGatingAllowed(cfg.pcpg);
     pv::PvArray array(module, cfg.modulesSeries, cfg.modulesParallel,
                       pv::kStc);
-    std::optional<pv::MppCache> local_cache;
-    pv::MppCache &mpp_cache = selectMppCache(local_cache, module, cfg);
 
     const bool tracking = cfg.policy != PolicyKind::FixedPower;
     auto adapter = tracking ? makeAdapter(cfg.policy) : nullptr;
@@ -350,7 +317,6 @@ simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
     obs::Auditor *const audit = cfg.audit;
     if (audit)
         audit->setTrace(tbuf);
-    const pv::MppCache::Stats cache_start = mpp_cache.stats();
     obs::HistogramStat *const err_hist = cfg.stats
         ? &cfg.stats->histogram("sim.periodErrorPct", 0.0, 50.0, 25,
                                 "per-period relative tracking error [%]")
@@ -393,11 +359,11 @@ simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
     const double dt_min = cfg.dtSeconds / 60.0;
 
     // Batched MPP precompute: the per-step environment is a pure
-    // function of the trace, so every per-step MPP lookup collapses
-    // into one batched call. Results and cache hit/miss counters are
-    // sequential-equivalent, and lookupBatch degrades to the legacy
-    // per-step path under the Scalar kernel or the Newton oracle.
-    stageStepMpps(ws, module, trace, dt_min, mpp_cache);
+    // function of the trace, so every per-step MPP solve collapses
+    // into one batched call. A lane's result does not depend on its
+    // batch position, and findMppBatch runs the per-step scalar path
+    // under the Scalar kernel or the Newton oracle.
+    stageStepMpps(ws, module, trace, dt_min, cfg);
     const std::vector<pv::MppResult> &step_mpps = ws.stepMpps;
     std::size_t step_index = 0;
 
@@ -577,8 +543,7 @@ simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
     result.transferCount = ats.transferCount();
     result.controllerSteps = tracking ? controller->totalSteps() : 0;
     if (cfg.stats)
-        foldDayStats(*cfg.stats, result, chip, mpp_cache.stats(),
-                     cache_start);
+        foldDayStats(*cfg.stats, result, chip);
     return result;
 }
 
@@ -606,8 +571,6 @@ simulateHybridDay(const pv::PvModule &module, const solar::SolarTrace &trace,
     chip.setGatingAllowed(cfg.pcpg);
     pv::PvArray array(module, cfg.modulesSeries, cfg.modulesParallel,
                       pv::kStc);
-    std::optional<pv::MppCache> local_cache;
-    pv::MppCache &mpp_cache = selectMppCache(local_cache, module, cfg);
     auto adapter = makeAdapter(cfg.policy == PolicyKind::FixedPower
                                    ? PolicyKind::MpptOpt
                                    : cfg.policy);
@@ -622,7 +585,6 @@ simulateHybridDay(const pv::PvModule &module, const solar::SolarTrace &trace,
     obs::Auditor *const audit = cfg.audit;
     if (audit)
         audit->setTrace(tbuf);
-    const pv::MppCache::Stats cache_start = mpp_cache.stats();
     // Charge-path conversion efficiency of the buffer's own MPPT.
     constexpr double charge_path_eff = 0.95;
     // Stable discharge level while bridging sub-threshold periods.
@@ -640,7 +602,7 @@ simulateHybridDay(const pv::PvModule &module, const solar::SolarTrace &trace,
     std::vector<cpu::ThermalModel> &thermal = ws.thermal;
 
     // Same batched MPP precompute as simulateDay.
-    stageStepMpps(ws, module, trace, dt_min, mpp_cache);
+    stageStepMpps(ws, module, trace, dt_min, cfg);
     const std::vector<pv::MppResult> &step_mpps = ws.stepMpps;
     std::size_t step_index = 0;
 
@@ -777,8 +739,7 @@ simulateHybridDay(const pv::PvModule &module, const solar::SolarTrace &trace,
     result.greenFraction =
         total_energy > 0.0 ? result.greenEnergyWh / total_energy : 0.0;
     if (cfg.stats) {
-        foldDayStats(*cfg.stats, day, chip, mpp_cache.stats(),
-                     cache_start);
+        foldDayStats(*cfg.stats, day, chip);
         cfg.stats->scalar("battery.deliveredWh",
                           "energy delivered from the buffer [Wh]") +=
             buffer.deliveredWh();
@@ -801,19 +762,14 @@ simulateBatteryDay(const pv::PvModule &module,
     BatteryDayResult result;
     result.deratingFactor = derating_factor;
 
-    // Pass 1: harvestable energy at the MPP over the day. The memo
-    // makes repeated passes over one trace (the de-rating sweeps rerun
-    // this identical sequence per factor) near-free after the first.
-    std::optional<pv::MppCache> local_cache;
-    pv::MppCache &mpp_cache = selectMppCache(local_cache, module, cfg);
-    const pv::MppCache::Stats cache_start = mpp_cache.stats();
+    // Pass 1: harvestable energy at the MPP over the day.
     const double dt_min = cfg.dtSeconds / 60.0;
     {
         // Pass 1 is a pure reduction over the trace: gather the step
         // environments and fold the batched MPP powers.
         std::optional<SimWorkspace> local_ws;
         SimWorkspace &ws = selectWorkspace(local_ws, cfg);
-        stageStepMpps(ws, module, trace, dt_min, mpp_cache);
+        stageStepMpps(ws, module, trace, dt_min, cfg);
         for (const pv::MppResult &mpp : ws.stepMpps)
             result.mppEnergyWh += mpp.power * cfg.dtSeconds / 3600.0;
     }
@@ -886,15 +842,6 @@ simulateBatteryDay(const pv::PvModule &module,
             result.consumedWh;
         reg.scalar("sim.totalInstructions",
                    "instructions retired in total") += result.instructions;
-        const auto cache_now = mpp_cache.stats();
-        reg.scalar("pv.mppCache.hits", "MPP memo hits") +=
-            static_cast<double>(cache_now.hits - cache_start.hits);
-        reg.scalar("pv.mppCache.misses",
-                   "MPP memo misses (full solves)") +=
-            static_cast<double>(cache_now.misses - cache_start.misses);
-        reg.formula("pv.mppCache.hitRate",
-                    dayFormulaByName("pv.mppCache.hitRate"),
-                    "hit fraction of MPP memo lookups");
     }
     return result;
 }
@@ -906,13 +853,6 @@ dayFormulaByName(std::string_view name)
         return [](const obs::StatsRegistry &r) {
             const double mpp = r.value("sim.mppEnergyWh");
             return mpp > 0.0 ? r.value("sim.solarEnergyWh") / mpp : 0.0;
-        };
-    }
-    if (name == "pv.mppCache.hitRate") {
-        return [](const obs::StatsRegistry &r) {
-            const double hits = r.value("pv.mppCache.hits");
-            const double n = hits + r.value("pv.mppCache.misses");
-            return n > 0.0 ? hits / n : 0.0;
         };
     }
     return {};

@@ -21,7 +21,7 @@
 #include "cpu/thermal.hpp"
 #include "obs/stats_registry.hpp"
 #include "pv/bp3180n.hpp"
-#include "pv/mpp_cache.hpp"
+#include "pv/mpp.hpp"
 #include "solar/trace.hpp"
 #include "workload/multiprogram.hpp"
 
@@ -42,7 +42,7 @@ namespace solarcore::core {
  * (and on trace-length growth). The drivers reset the *contents*
  * every call -- a workspace carries no state between days, only
  * capacity -- which is what keeps results bit-identical with and
- * without one. Not thread-safe: one per worker, like MppCache.
+ * without one. Not thread-safe: one per worker.
  */
 struct SimWorkspace
 {
@@ -106,24 +106,14 @@ struct SimConfig
                                        //!< free. A local workspace is
                                        //!< used when null. Not
                                        //!< thread-safe: one per worker.
-    pv::MppCache *mppCache = nullptr;  //!< borrowed cross-day MPP memo;
-                                       //!< sweep drivers replaying one
-                                       //!< trace for many workloads /
-                                       //!< budgets share one so each
-                                       //!< environment is solved once.
-                                       //!< Must match the module and
-                                       //!< arrangement; a per-day cache
-                                       //!< is used when null or
-                                       //!< incompatible. Not
-                                       //!< thread-safe: one per worker.
     obs::StatsRegistry *stats = nullptr; //!< borrowed; when set, the
                                        //!< day's counters (energies,
                                        //!< per-core DVFS/gate
-                                       //!< transitions, MPP-cache hit
-                                       //!< rate, per-period tracking
-                                       //!< error histogram) accumulate
-                                       //!< into it. Not thread-safe:
-                                       //!< one per worker, merge()d.
+                                       //!< transitions, per-period
+                                       //!< tracking error histogram)
+                                       //!< accumulate into it. Not
+                                       //!< thread-safe: one per
+                                       //!< worker, merge()d.
     obs::TraceBuffer *trace = nullptr; //!< borrowed event sink; when
                                        //!< set, re-tracks (with cause),
                                        //!< DVFS/PCPG steps, ATS
@@ -242,7 +232,7 @@ BatteryDayResult simulateBatteryDay(const pv::PvModule &module,
 
 /**
  * The dump-time formula a day driver registers under @p name
- * ("sim.solarUtilization", "pv.mppCache.hitRate"), or an empty
+ * ("sim.solarUtilization"), or an empty
  * function for an unknown name. The single source of truth for the
  * drivers' own registrations, and the resolver a cross-process stats
  * merge uses to reconstruct a worker's formulas from their wire names.

@@ -41,7 +41,6 @@
 #include "power/ups.hpp"
 #include "pv/bp3180n.hpp"
 #include "pv/mpp.hpp"
-#include "pv/mpp_cache.hpp"
 #include "pv/shading.hpp"
 #include "solar/midc.hpp"
 #include "solar/trace.hpp"

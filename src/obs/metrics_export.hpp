@@ -25,7 +25,7 @@
  *    bucket monotonicity and `_sum`/`_count` consistency, `# EOF`.
  *
  * Metric names are sanitized from the registry's dotted names:
- * "pv.mppCache.hitRate" => "solarcore_pv_mppCache_hitRate".
+ * "sim.solarUtilization" => "solarcore_sim_solarUtilization".
  */
 
 #ifndef SOLARCORE_OBS_METRICS_EXPORT_HPP
@@ -139,7 +139,7 @@ void appendRegistry(OpenMetricsWriter &w, const StatsRegistry &reg);
 /**
  * Render the self-profiler tree as one `solarcore_profile_scope_us`
  * histogram family: one series per collapsed stack path (label
- * `scope="day;step;mpp.solve"`), log2 latency buckets in microseconds
+ * `scope="day;step;chip.step"`), log2 latency buckets in microseconds
  * trimmed to the occupied prefix.
  */
 void appendProfiler(OpenMetricsWriter &w, const Profiler &profiler);

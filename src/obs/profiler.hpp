@@ -3,12 +3,12 @@
  * Scoped self-profiler: RAII phase timers on the simulator's hot
  * paths, aggregated into a per-profiler hierarchical tree.
  *
- *   SC_PROFILE_SCOPE("mpp.solve");
+ *   SC_PROFILE_SCOPE("chip.step");
  *
  * opens a frame under the profiler attached to the current thread (a
  * plain thread-local pointer). With no profiler attached the macro
  * costs one thread-local load and a branch, which is what lets the
- * scopes live permanently inside the I-V solve, the MPP cache, the
+ * scopes live permanently inside the batched MPP solve, the
  * TPR allocator, the day loop and the campaign unit without showing
  * up in the profiler-off microbench gate.
  *
@@ -21,7 +21,7 @@
  * tree whose structure and counts are identical at any thread count.
  *
  * Dump formats: a hierarchical JSON tree, and flamegraph-compatible
- * collapsed stacks ("day;step;mpp.solve <total_us>") for
+ * collapsed stacks ("day;step;chip.step <total_us>") for
  * flamegraph.pl / speedscope.
  */
 

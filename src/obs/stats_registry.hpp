@@ -5,7 +5,7 @@
  * Components register named stats -- scalars, per-lane vectors,
  * fixed-bin histograms, and formulas evaluated at dump time -- under
  * dotted hierarchical names ("chip.core3.dvfsTransitions",
- * "pv.mppCache.hitRate"). Registration is find-or-create, so repeated
+ * "sim.solarUtilization"). Registration is find-or-create, so repeated
  * runs (a sweep replaying many days into one registry) accumulate into
  * the same counters. The hot path is a plain double increment on a
  * reference obtained once; the registry itself is only walked at

@@ -46,8 +46,6 @@ struct CellParams
     double idealityN = 1.30;    //!< diode ideality factor
     double seriesRes = 0.0;     //!< series resistance Rs [ohm]
     double bandgapEv = 1.12;    //!< silicon bandgap [eV]
-
-    bool operator==(const CellParams &) const = default;
 };
 
 /**

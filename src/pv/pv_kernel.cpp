@@ -215,6 +215,7 @@ findMppBatch(const PvModule &module, int modules_series,
               "findMppBatch: span lengths differ");
     SC_ASSERT(modules_series > 0 && modules_parallel > 0,
               "findMppBatch: arrangement must be positive");
+    SC_PROFILE_SCOPE("pv.findMppBatch");
     const SolarCell &cell = module.cell();
     const PvKernel kernel = selectedPvKernel();
     if (kernel == PvKernel::Scalar || newtonIvSolve() ||
@@ -229,7 +230,6 @@ findMppBatch(const PvModule &module, int modules_series,
         return;
     }
 
-    SC_PROFILE_SCOPE("pv.findMppBatch");
     const detail::CellConsts consts = detail::CellConsts::from(cell);
     const double v_scale =
         static_cast<double>(module.cellsSeries() * modules_series);

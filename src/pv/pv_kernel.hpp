@@ -22,9 +22,9 @@
  *     of a full findMpp plus a 40-step std::function bisect each.
  *
  * PvKernel::Scalar preserves the untouched legacy call sequence as the
- * always-built parity oracle, exactly like the PR 1 Newton oracle:
- * selecting it routes every consumer (day drivers, MppCache, the
- * controller) through the original per-call scalar code path.
+ * always-built parity oracle, exactly like the Newton oracle:
+ * selecting it routes every consumer (the day drivers' staged MPPs,
+ * the controller) through the original per-call scalar code path.
  *
  * Determinism contract: for a fixed kernel choice, results are a pure
  * function of the inputs -- independent of batch size, lane position
@@ -93,7 +93,9 @@ void evalIv(const SolarCell &cell, std::span<const Environment> envs,
  * Batched array-level MPP solve: out[k] = MPP of the uniform
  * series-parallel arrangement under envs[k], matching the analytic
  * findMpp(PvArray) within Newton convergence tolerance. Dark lanes
- * yield the all-zero MppResult. Spans must have equal length.
+ * yield the all-zero MppResult. Under the Scalar kernel or the Newton
+ * oracle every lane is exactly findMpp(PvArray). Spans must have
+ * equal length.
  */
 void findMppBatch(const PvModule &module, int modules_series,
                   int modules_parallel, std::span<const Environment> envs,

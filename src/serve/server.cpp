@@ -235,7 +235,12 @@ Server::stop()
 #if !defined(_WIN32)
     if (!started_)
         return;
-    running_.store(false);
+    {
+        // Under the queue mutex: a worker between its wait predicate
+        // and the wait itself would otherwise miss this wakeup.
+        std::lock_guard<std::mutex> lock(queueMutex_);
+        running_.store(false);
+    }
     queueCv_.notify_all();
     // Workers drain the queue (answering ShuttingDown) before they
     // exit; in-flight replies hold their Conn alive via shared_ptr.

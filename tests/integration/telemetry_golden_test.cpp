@@ -118,9 +118,9 @@ TEST(TelemetryGolden, InstrumentedDayMatchesBaseline)
     ASSERT_EQ(day->children.count("step"), 1u);
     double scoped_ns =
         static_cast<double>(day->children.at("step")->totalNs);
-    if (day->children.count("mpp.lookupBatch"))
+    if (day->children.count("pv.findMppBatch"))
         scoped_ns += static_cast<double>(
-            day->children.at("mpp.lookupBatch")->totalNs);
+            day->children.at("pv.findMppBatch")->totalNs);
     EXPECT_GE(scoped_ns, 0.9 * static_cast<double>(day->totalNs));
 
     const std::string got = digest(telem, audit);

@@ -24,7 +24,6 @@
 #include "power/operating_point.hpp"
 #include "pv/bp3180n.hpp"
 #include "pv/mpp.hpp"
-#include "pv/mpp_cache.hpp"
 #include "pv/pv_kernel.hpp"
 #include "pv/shading.hpp"
 #include "workload/multiprogram.hpp"
@@ -38,16 +37,6 @@ struct KernelGuard
     PvKernel saved = selectedPvKernel();
     ~KernelGuard() { setPvKernel(saved); }
 };
-
-/** Every kernel the running machine can execute. */
-std::vector<PvKernel>
-availableKernels()
-{
-    std::vector<PvKernel> kernels = {PvKernel::Scalar, PvKernel::Portable};
-    if (pvKernelSupported(PvKernel::Avx2))
-        kernels.push_back(PvKernel::Avx2);
-    return kernels;
-}
 
 /** Batch (not Scalar) kernels available on the running machine. */
 std::vector<PvKernel>
@@ -216,6 +205,33 @@ TEST(PvKernel, FindMppBatchMatchesScalarOracleAcrossGrid)
             EXPECT_TRUE(near(got[k].power, oracle[k].power, 1e-9, 1e-12));
         }
     }
+
+    // The Scalar kernel and the Newton oracle send every lane, dark
+    // ones included, through findMpp(PvArray) itself: bitwise equal.
+    auto expect_bitwise = [&](const std::vector<MppResult> &want,
+                              const char *route) {
+        std::vector<MppResult> got(envs.size());
+        findMppBatch(testModule(), 2, 3, envs, got);
+        for (std::size_t k = 0; k < envs.size(); ++k) {
+            EXPECT_EQ(got[k].voltage, want[k].voltage)
+                << route << " G=" << envs[k].irradiance
+                << " T=" << envs[k].cellTempC;
+            EXPECT_EQ(got[k].current, want[k].current) << route;
+            EXPECT_EQ(got[k].power, want[k].power) << route;
+        }
+    };
+    setPvKernel(PvKernel::Scalar);
+    expect_bitwise(oracle, "scalar");
+
+    setPvKernel(PvKernel::Portable);
+    setNewtonIvSolve(true);
+    std::vector<MppResult> newton;
+    for (const auto &env : envs) {
+        array.setEnvironment(env);
+        newton.push_back(findMpp(array));
+    }
+    expect_bitwise(newton, "newton");
+    setNewtonIvSolve(false);
 }
 
 TEST(PvKernel, BatchResultsIndependentOfBatchSize)
@@ -268,68 +284,6 @@ TEST(PvKernel, BatchResultsIndependentOfBatchSize)
                 << pvKernelName(kernel) << " lane=" << k;
         }
     }
-}
-
-TEST(PvKernel, LookupBatchIsSequentialEquivalent)
-{
-    KernelGuard guard;
-    // Repeats, a dark lane and an odd length, quantized and exact keys.
-    std::vector<Environment> envs = {
-        {800.0, 40.0}, {600.0, 30.0}, {800.0, 40.0}, {0.0, 20.0},
-        {600.0, 30.0}, {801.0, 40.0}, {800.0, 40.0},
-    };
-
-    for (PvKernel kernel : availableKernels()) {
-        setPvKernel(kernel);
-        for (double quantum : {0.0, 5.0}) {
-            MppCache seq(testModule(), 1, 1, quantum);
-            MppCache bat(testModule(), 1, 1, quantum);
-
-            std::vector<MppResult> want;
-            for (const auto &env : envs)
-                want.push_back(seq.mpp(env));
-            std::vector<MppResult> got(envs.size());
-            bat.lookupBatch(envs, got);
-
-            EXPECT_EQ(bat.stats().hits, seq.stats().hits)
-                << pvKernelName(kernel) << " q=" << quantum;
-            EXPECT_EQ(bat.stats().misses, seq.stats().misses);
-            EXPECT_EQ(bat.size(), seq.size());
-            for (std::size_t k = 0; k < envs.size(); ++k) {
-                if (kernel == PvKernel::Scalar) {
-                    // The Scalar route is literally the per-element loop.
-                    EXPECT_EQ(got[k].power, want[k].power) << k;
-                } else {
-                    EXPECT_TRUE(
-                        near(got[k].power, want[k].power, 1e-9, 1e-12))
-                        << pvKernelName(kernel) << " lane " << k;
-                }
-            }
-
-            // A second pass over the same batch must be pure hits.
-            const auto misses_before = bat.stats().misses;
-            bat.lookupBatch(envs, got);
-            EXPECT_EQ(bat.stats().misses, misses_before);
-        }
-    }
-}
-
-TEST(PvKernel, LookupBatchUnderNewtonOracleUsesLegacyLoop)
-{
-    KernelGuard guard;
-    setPvKernel(PvKernel::Portable);
-    setNewtonIvSolve(true);
-    std::vector<Environment> envs = {{700.0, 35.0}, {700.0, 35.0}};
-    MppCache cache(testModule(), 1, 1);
-    std::vector<MppResult> got(envs.size());
-    cache.lookupBatch(envs, got);
-    setNewtonIvSolve(false);
-
-    // Oracle mode re-solves every lookup: no memoization happened.
-    EXPECT_EQ(cache.stats().hits, 0u);
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(got[0].power, got[1].power);
-    EXPECT_GT(got[0].power, 0.0);
 }
 
 TEST(PvKernel, PreparedArrayMatchesPvArray)

@@ -674,5 +674,20 @@ TEST_F(ServeTest, StopAnswersQueuedRequestsAndUnlinksSocket)
     server.stop();
 }
 
+TEST_F(ServeTest, ImmediateStartStopNeverHangs)
+{
+    // stop() right after start() races the workers into their first
+    // wait on the queue; a wakeup lost there leaves a worker asleep
+    // and stop() blocked in join(). The binary's ctest TIMEOUT turns
+    // such a hang into a failure.
+    auto cfg = baseConfig("r.sock");
+    cfg.workers = 4;
+    for (int round = 0; round < 50; ++round) {
+        Server server(cfg);
+        ASSERT_TRUE(server.start()) << "round " << round;
+        server.stop();
+    }
+}
+
 } // namespace
 } // namespace solarcore::serve
