@@ -40,7 +40,7 @@ namespace solarcore::campaign {
  * hashed separately) alters unit results; stale entries then miss
  * instead of resurrecting old numbers.
  */
-inline constexpr int kUnitCacheCodeVersion = 1;
+inline constexpr int kUnitCacheCodeVersion = 2;
 
 /** Monotonic counters of one cache handle's activity. */
 struct UnitCacheCounters

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <variant>
 
 #include "core/fixed_power.hpp"
 #include "core/tpr.hpp"
@@ -34,27 +35,24 @@ buildChip(workload::WorkloadId workload, const SimConfig &cfg)
                               workload::workloadSet(workload), cfg.seed);
 }
 
-void
-setDieTemps(cpu::MultiCoreChip &chip, double ambient_c)
-{
-    // Simple thermal proxy: dies run ~30 K above ambient under load.
-    for (int i = 0; i < chip.numCores(); ++i)
-        chip.core(i).setDieTempC(ambient_c + 30.0);
-}
-
 /**
- * One step of the per-core RC thermal loop: integrate each die's
- * temperature, feed it back into the leakage model, and throttle any
- * core past the limit. Returns the number of forced notch-downs.
+ * Set every die's temperature for one step: the ambient + 30 K proxy,
+ * or, with cfg.rcThermal, one step of the per-core RC thermal loop
+ * that feeds each die's temperature back into the leakage model and
+ * throttles any core past the limit. Returns the forced notch-downs.
  */
 int
-stepRcThermal(cpu::MultiCoreChip &chip,
-              std::vector<cpu::ThermalModel> &thermal, double ambient_c,
-              const SimConfig &cfg)
+stepDieTemps(cpu::MultiCoreChip &chip,
+             std::vector<cpu::ThermalModel> &thermal, double ambient_c,
+             const SimConfig &cfg)
 {
     int throttles = 0;
     for (int i = 0; i < chip.numCores(); ++i) {
         auto &core = chip.core(i);
+        if (!cfg.rcThermal) {
+            core.setDieTempC(ambient_c + 30.0);
+            continue;
+        }
         const double t = thermal[static_cast<std::size_t>(i)].step(
             core.power().totalW(), ambient_c, cfg.dtSeconds);
         core.setDieTempC(t);
@@ -149,20 +147,52 @@ selectWorkspace(std::optional<SimWorkspace> &local, const SimConfig &cfg)
 }
 
 /**
- * Stage the per-step environments for @p trace into @p ws and solve
- * their MPPs in one findMppBatch call. The minute walk replicates the
- * drivers' main loops exactly, so step indices line up one-to-one.
- * assign()/clear() reset contents but keep capacity: with a reused
- * workspace this allocates only when the trace grows.
+ * The day's step grid: step i runs at minute start + i * dt for
+ * i < floor(window / dt) + 1, the sampling formula of
+ * solar::generateDayTrace. Stepping on an integer index keeps the
+ * window's last step, which accumulating minute += dt can drop when
+ * dt is not a binary fraction of a minute (e.g. 20 s).
+ */
+struct StepGrid
+{
+    double startMinute = 0.0;
+    double dtMinutes = 0.0;
+    std::size_t steps = 0;
+
+    double minute(std::size_t i) const
+    {
+        return startMinute + static_cast<double>(i) * dtMinutes;
+    }
+};
+
+StepGrid
+stepGrid(const solar::SolarTrace &trace, double dt_seconds)
+{
+    StepGrid grid;
+    grid.startMinute = trace.startMinute();
+    grid.dtMinutes = dt_seconds / 60.0;
+    grid.steps = static_cast<std::size_t>(std::floor(
+                     (trace.endMinute() - trace.startMinute()) /
+                     grid.dtMinutes)) +
+        1;
+    return grid;
+}
+
+/**
+ * Stage the environment of every step of @p grid into @p ws and solve
+ * their MPPs in one findMppBatch call, so step i of the day loop reads
+ * stepEnvs[i] and stepMpps[i]. assign()/clear() reset contents but
+ * keep capacity: with a reused workspace this allocates only when the
+ * trace grows.
  */
 void
 stageStepMpps(SimWorkspace &ws, const pv::PvModule &module,
-              const solar::SolarTrace &trace, double dt_min,
+              const solar::SolarTrace &trace, const StepGrid &grid,
               const SimConfig &cfg)
 {
     ws.stepEnvs.clear();
-    for (double minute = trace.startMinute(); minute <= trace.endMinute();
-         minute += dt_min) {
+    for (std::size_t i = 0; i < grid.steps; ++i) {
+        const double minute = grid.minute(i);
         const double g = trace.irradianceAt(minute);
         const double ambient = trace.ambientAt(minute);
         ws.stepEnvs.push_back({g, module.cellTempFromAmbient(ambient, g)});
@@ -269,37 +299,68 @@ class DayTelemetry
     std::vector<CoreChannels> cores_;
 };
 
-/** The per-core DVFS/gating legality sweep shared by the drivers. */
-void
-auditChipState(obs::Auditor &audit, const cpu::MultiCoreChip &chip)
+/** simulateDay: the panel feeds the chip through the ATS, which
+ *  falls back to the grid below the power-transfer threshold. */
+struct DirectSupply
 {
-    for (int i = 0; i < chip.numCores(); ++i) {
-        const auto &core = chip.core(i);
-        audit.checkDvfsLegality(i, core.level(), chip.dvfs().minLevel(),
-                                chip.dvfs().maxLevel(), core.gated(),
-                                chip.gatingAllowed(),
-                                "core DVFS/gating state");
-    }
-}
+};
 
-} // namespace
-
-DayResult
-simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
-            workload::WorkloadId workload, const SimConfig &cfg)
+/** simulateHybridDay: DirectSupply plus a storage buffer on the panel
+ *  side; a capacity of 0 Wh means no buffer. */
+struct BufferedSupply
 {
-    SC_ASSERT(!trace.empty(), "simulateDay: empty trace");
-    SC_ASSERT(cfg.dtSeconds > 0.0, "simulateDay: bad step");
-    SC_PROFILE_SCOPE("day");
+    double capacityWh = 0.0;
+};
 
-    DayResult result;
+/** simulateBatteryDay: the day's MPP energy, stored with an overall
+ *  de-rating, feeds the chip at one stable budget all day. No ATS and
+ *  no per-step panel work. */
+struct DeratedSupply
+{
+    double deratingFactor = 1.0;
+};
 
-    auto chip = buildChip(workload, cfg);
+/** The closed set of ways the day loop can supply the chip. */
+using Supply = std::variant<DirectSupply, BufferedSupply, DeratedSupply>;
+
+// The hybrid buffer: its own MPPT charge path, and the battery's
+// charge/discharge efficiencies.
+constexpr double kChargePathEff = 0.95;
+constexpr double kBufferChargeEff = 0.95;
+constexpr double kBufferDischargeEff = 0.90;
+
+/** What one day-loop run measured beyond the DayResult. */
+struct DayRun
+{
+    DayResult day;
+    double budgetW = 0.0;       //!< allocation budget (Fixed, Derated)
+    double greenEnergyWh = 0.0; //!< panel/storage -> chip energy
+    std::optional<power::Battery> buffer; //!< the hybrid's buffer
+};
+
+/**
+ * The day loop shared by all three drivers: replay @p trace on @p chip
+ * under @p supply and the policy in @p cfg. DayResult::solarEnergyWh
+ * is what the panel delivered (to the chip, and to the buffer as the
+ * buffer absorbed it); for DeratedSupply it is the chip's draw from
+ * storage.
+ */
+DayRun
+runDay(cpu::MultiCoreChip &chip, const pv::PvModule &module,
+       const solar::SolarTrace &trace, const SimConfig &cfg,
+       const Supply &supply)
+{
+    const auto *const buffered = std::get_if<BufferedSupply>(&supply);
+    const auto *const derated = std::get_if<DeratedSupply>(&supply);
+    const bool panel = derated == nullptr; // per-step panel + ATS work
+    DayRun run;
+    DayResult &result = run.day;
+
     chip.setGatingAllowed(cfg.pcpg);
     pv::PvArray array(module, cfg.modulesSeries, cfg.modulesParallel,
                       pv::kStc);
 
-    const bool tracking = cfg.policy != PolicyKind::FixedPower;
+    const bool tracking = panel && cfg.policy != PolicyKind::FixedPower;
     auto adapter = tracking ? makeAdapter(cfg.policy) : nullptr;
     std::optional<SolarCoreController> controller;
     if (tracking)
@@ -308,16 +369,30 @@ simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
     const double threshold =
         tracking ? cfg.thresholdW : cfg.fixedBudgetW;
     power::TransferSwitch ats(threshold, 0.02 * threshold);
+    if (derated)
+        ats.force(power::PowerSource::Solar); // storage carries the day
+    std::optional<power::Battery> &buffer = run.buffer;
+    if (buffered && buffered->capacityWh > 0.0)
+        buffer.emplace(buffered->capacityWh, kBufferChargeEff,
+                       kBufferDischargeEff);
+    // Stable discharge level while the buffer bridges the panel.
+    const double bridge_budget_w = 2.0 * cfg.thresholdW;
 
     obs::TraceBuffer *const tbuf = cfg.trace;
     ats.setTrace(tbuf);
     if (tracking)
         controller->setTrace(tbuf);
+    if (buffer)
+        buffer->setTrace(tbuf);
     DayTelemetry telem(cfg.telemetry, chip);
     obs::Auditor *const audit = cfg.audit;
     if (audit)
         audit->setTrace(tbuf);
-    obs::HistogramStat *const err_hist = cfg.stats
+    const char *const budget_check = derated
+        ? "battery baseline draw vs stable budget"
+        : tracking ? "solar draw vs MPP budget"
+                   : "solar draw vs fixed budget";
+    obs::HistogramStat *const err_hist = cfg.stats && panel
         ? &cfg.stats->histogram("sim.periodErrorPct", 0.0, 50.0, 25,
                                 "per-period relative tracking error [%]")
         : nullptr;
@@ -354,50 +429,50 @@ simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
     SimWorkspace &ws = selectWorkspace(local_ws, cfg);
     ws.thermal.assign(static_cast<std::size_t>(chip.numCores()),
                       cpu::ThermalModel());
-    std::vector<cpu::ThermalModel> &thermal = ws.thermal;
-
-    const double dt_min = cfg.dtSeconds / 60.0;
 
     // Batched MPP precompute: the per-step environment is a pure
     // function of the trace, so every per-step MPP solve collapses
     // into one batched call. A lane's result does not depend on its
     // batch position, and findMppBatch runs the per-step scalar path
     // under the Scalar kernel or the Newton oracle.
-    stageStepMpps(ws, module, trace, dt_min, cfg);
-    const std::vector<pv::MppResult> &step_mpps = ws.stepMpps;
-    std::size_t step_index = 0;
+    const StepGrid grid = stepGrid(trace, cfg.dtSeconds);
+    stageStepMpps(ws, module, trace, grid, cfg);
+    for (const pv::MppResult &mpp : ws.stepMpps)
+        result.mppEnergyWh += mpp.power * cfg.dtSeconds / 3600.0;
 
+    // Derated storage delivers its harvest evenly over the window.
+    const double day_hours =
+        (trace.endMinute() - trace.startMinute()) / 60.0;
+    const double alloc_budget_w = derated
+        ? derated->deratingFactor * result.mppEnergyWh / day_hours
+        : cfg.fixedBudgetW;
+
+    const double dt_h = cfg.dtSeconds / 3600.0;
     double last_track_minute = -1e9;
     double last_track_budget = 0.0;
     double last_track_demand = 0.0;
-    bool was_on_solar = false;
+    bool was_on_solar = ats.onSolar();
+    bool was_on_buffer = false;
+    double bridged_seconds = 0.0;
     double last_timeline_minute = -1e9;
 
     chip.setAllLevels(chip.dvfs().maxLevel()); // boots on grid, full speed
 
-    for (double minute = trace.startMinute(); minute <= trace.endMinute();
-         minute += dt_min) {
+    for (std::size_t i = 0; i < grid.steps; ++i) {
         SC_PROFILE_SCOPE("step");
-        if (cfg.trace)
-            cfg.trace->setNow(minute);
+        const double minute = grid.minute(i);
+        if (tbuf)
+            tbuf->setNow(minute);
         power::NetworkState step_net; //!< solved state, when tracking
-        const double g = trace.irradianceAt(minute);
-        const double ambient = trace.ambientAt(minute);
-        array.setEnvironment({g, module.cellTempFromAmbient(ambient, g)});
-        if (cfg.rcThermal) {
-            // Close the power -> temperature -> leakage loop per core,
-            // and throttle any core past the thermal limit.
-            result.thermalThrottles +=
-                stepRcThermal(chip, thermal, ambient, cfg);
-        } else {
-            setDieTemps(chip, ambient);
+        const pv::MppResult &mpp = ws.stepMpps[i];
+        result.thermalThrottles += stepDieTemps(
+            chip, ws.thermal, trace.ambientAt(minute), cfg);
+        if (panel) {
+            array.setEnvironment(ws.stepEnvs[i]);
+            ats.update(mpp.power, cfg.dtSeconds);
         }
-
-        const pv::MppResult mpp = step_mpps[step_index++];
-        result.mppEnergyWh += mpp.power * cfg.dtSeconds / 3600.0;
-
-        ats.update(mpp.power, cfg.dtSeconds);
         bool on_solar = ats.onSolar();
+        bool on_buffer = false;
 
         if (on_solar && tracking) {
             const bool due =
@@ -439,48 +514,81 @@ simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
                 chip.setAllLevels(chip.dvfs().maxLevel());
                 on_solar = false;
             }
-        } else if (on_solar && !tracking) {
-            // Fixed-Power: (re)allocate to the fixed budget on entry
-            // and at each period boundary; enforce on phase drift.
+        } else if (on_solar) {
+            // Fixed-Power and derated storage: (re)allocate to the
+            // budget on entry and at each period boundary; enforce on
+            // phase drift.
             const bool due =
                 minute - last_track_minute >= cfg.trackingPeriodMinutes;
             if (!was_on_solar || due ||
-                chip.totalPower() > cfg.fixedBudgetW) {
+                chip.totalPower() > alloc_budget_w) {
                 if (tbuf) {
                     const auto cause = !was_on_solar
                         ? obs::RetrackCause::SolarEntry
                         : due ? obs::RetrackCause::Periodic
                               : obs::RetrackCause::DemandDelta;
-                    emitRetrack(tbuf, cause, cfg.fixedBudgetW,
+                    emitRetrack(tbuf, cause, alloc_budget_w,
                                 chip.totalPower());
                 }
                 ++result.retracks;
                 const auto alloc =
-                    optimizeAllocation(chip, cfg.fixedBudgetW);
+                    optimizeAllocation(chip, alloc_budget_w);
                 if (alloc.feasible)
                     applyAllocation(chip, alloc);
                 else
                     chip.gateAll();
                 last_track_minute = minute;
             }
-        } else if (!on_solar && was_on_solar) {
+        } else {
+            // Off the panel, a buffer holding a whole step of the
+            // bridge allocation keeps the chip on green power.
+            if (buffer) {
+                const auto alloc =
+                    optimizeAllocation(chip, bridge_budget_w);
+                on_buffer = alloc.feasible && alloc.powerW > 0.0 &&
+                    buffer->storedWh() * kBufferDischargeEff >=
+                        alloc.powerW * dt_h;
+                if (on_buffer)
+                    applyAllocation(chip, alloc);
+            }
             // Fell back to the utility: run as a traditional CMP.
-            chip.setAllLevels(chip.dvfs().maxLevel());
+            if (!on_buffer && (was_on_solar || was_on_buffer))
+                chip.setAllLevels(chip.dvfs().maxLevel());
         }
 
         const double consumed = chip.totalPower();
-        if (on_solar) {
+        // On solar the panel also supplies the DC/DC conversion loss.
+        const double drawn = on_solar && tracking
+            ? consumed / cfg.controller.converterEfficiency
+            : consumed;
+        if (on_solar && panel) {
             period_budget.add(mpp.power);
             period_consumed.add(consumed);
         }
+        if (buffer) {
+            // MPP power the chip leaves on the panel charges the
+            // buffer through its own MPPT path.
+            const double spare_w =
+                std::max(0.0, mpp.power - (on_solar ? drawn : 0.0));
+            buffer->charge(spare_w * kChargePathEff, dt_h);
+            if (on_buffer) {
+                buffer->discharge(consumed, dt_h);
+                bridged_seconds += cfg.dtSeconds;
+            }
+        }
+        if (!on_buffer)
+            ats.accountEnergy(drawn, cfg.dtSeconds);
 
-        const double budget_w = tracking ? mpp.power : cfg.fixedBudgetW;
+        const double budget_w = on_buffer ? bridge_budget_w
+            : tracking                    ? mpp.power
+                                          : alloc_budget_w;
         if (telem) {
-            telem.sample(minute, chip, mpp.power, budget_w, on_solar,
+            telem.sample(minute, chip, panel ? mpp.power : std::nan(""),
+                         budget_w, on_solar,
                          step_net.valid ? &step_net : nullptr,
                          tracking ? controller->converter().ratio()
                                   : std::nan(""),
-                         std::nan(""));
+                         buffer ? buffer->socFraction() : std::nan(""));
         }
 
         const double instr_before = chip.totalInstructions();
@@ -490,23 +598,18 @@ simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
         }
         const double instr_delta = chip.totalInstructions() - instr_before;
         result.totalInstructions += instr_delta;
-        if (on_solar)
+        if (on_solar || on_buffer)
             result.solarInstructions += instr_delta;
-        // On solar the panel also supplies the DC/DC conversion loss.
-        const double drawn = on_solar && tracking
-            ? consumed / cfg.controller.converterEfficiency
-            : consumed;
-        ats.accountEnergy(drawn, cfg.dtSeconds);
 
         if (audit) {
             SC_PROFILE_SCOPE("audit");
             audit->setNow(minute);
             audit->countStep();
-            if (on_solar)
+            if (on_solar || on_buffer)
                 audit->checkBudget(drawn, budget_w,
-                                   tracking
-                                       ? "solar draw vs MPP budget"
-                                       : "solar draw vs fixed budget");
+                                   on_buffer
+                                       ? "buffer draw vs discharge budget"
+                                       : budget_check);
             if (step_net.valid) {
                 audit->checkRailVoltage(step_net.load.voltage,
                                         cfg.controller.railNominalV,
@@ -517,7 +620,16 @@ simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
                     array.currentAt(0.0),
                     "solved panel point vs I-V curve");
             }
-            auditChipState(*audit, chip);
+            if (buffer)
+                audit->checkSocRange(buffer->socFraction(),
+                                     "buffer state of charge");
+            for (int c = 0; c < chip.numCores(); ++c) {
+                const auto &core = chip.core(c);
+                audit->checkDvfsLegality(
+                    c, core.level(), chip.dvfs().minLevel(),
+                    chip.dvfs().maxLevel(), core.gated(),
+                    chip.gatingAllowed(), "core DVFS/gating state");
+            }
         }
 
         if (cfg.recordTimeline && minute - last_timeline_minute >= 1.0) {
@@ -526,25 +638,52 @@ simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
             last_timeline_minute = minute;
         }
         was_on_solar = on_solar;
+        was_on_buffer = on_buffer;
     }
 
     close_period();
+    if (audit && buffer) {
+        audit->setNow(trace.endMinute());
+        audit->checkEnergyBalance(buffer->absorbedWh(), buffer->storedWh(),
+                                  buffer->deliveredWh(), buffer->lostWh(),
+                                  "battery ledger closure");
+    }
 
-    result.solarEnergyWh = ats.solarEnergyWh();
+    // Panel -> buffer energy is what the buffer absorbed, seen from
+    // the panel side of its charge path.
+    result.solarEnergyWh = ats.solarEnergyWh() +
+        (buffer ? buffer->absorbedWh() / kChargePathEff : 0.0);
+    run.greenEnergyWh =
+        ats.solarEnergyWh() + (buffer ? buffer->deliveredWh() : 0.0);
     result.chipEnergyWh = chip.totalEnergy() / 3600.0;
     result.gridEnergyWh = ats.gridEnergyWh();
     result.utilization = result.mppEnergyWh > 0.0
         ? result.solarEnergyWh / result.mppEnergyWh
         : 0.0;
-    const double total_sec = ats.solarSeconds() + ats.gridSeconds();
-    result.effectiveFraction =
-        total_sec > 0.0 ? ats.solarSeconds() / total_sec : 0.0;
+    const double green_sec = ats.solarSeconds() + bridged_seconds;
+    const double total_sec = green_sec + ats.gridSeconds();
+    result.effectiveFraction = total_sec > 0.0 ? green_sec / total_sec : 0.0;
     result.avgTrackingError = period_errors.value();
     result.transferCount = ats.transferCount();
     result.controllerSteps = tracking ? controller->totalSteps() : 0;
+    run.budgetW = alloc_budget_w;
+    return run;
+}
+
+} // namespace
+
+DayResult
+simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
+            workload::WorkloadId workload, const SimConfig &cfg)
+{
+    SC_ASSERT(!trace.empty(), "simulateDay: empty trace");
+    SC_ASSERT(cfg.dtSeconds > 0.0, "simulateDay: bad step");
+    SC_PROFILE_SCOPE("day");
+    auto chip = buildChip(workload, cfg);
+    DayRun run = runDay(chip, module, trace, cfg, DirectSupply{});
     if (cfg.stats)
-        foldDayStats(*cfg.stats, result, chip);
-    return result;
+        foldDayStats(*cfg.stats, run.day, chip);
+    return std::move(run.day);
 }
 
 HybridDayResult
@@ -554,198 +693,32 @@ simulateHybridDay(const pv::PvModule &module, const solar::SolarTrace &trace,
 {
     SC_ASSERT(battery_capacity_wh >= 0.0,
               "simulateHybridDay: negative capacity");
-    HybridDayResult result;
-    result.batteryCapacityWh = battery_capacity_wh;
-    if (battery_capacity_wh <= 0.0) {
-        result.day = simulateDay(module, trace, workload, cfg);
-        result.greenEnergyWh = result.day.solarEnergyWh;
-        const double total =
-            result.day.solarEnergyWh + result.day.gridEnergyWh;
-        result.greenFraction =
-            total > 0.0 ? result.greenEnergyWh / total : 0.0;
-        return result;
-    }
-
     SC_PROFILE_SCOPE("day");
     auto chip = buildChip(workload, cfg);
-    chip.setGatingAllowed(cfg.pcpg);
-    pv::PvArray array(module, cfg.modulesSeries, cfg.modulesParallel,
-                      pv::kStc);
-    auto adapter = makeAdapter(cfg.policy == PolicyKind::FixedPower
-                                   ? PolicyKind::MpptOpt
-                                   : cfg.policy);
-    SolarCoreController controller(array, chip, *adapter, cfg.controller);
-    power::TransferSwitch ats(cfg.thresholdW, 0.02 * cfg.thresholdW);
-    power::Battery buffer(battery_capacity_wh, 0.95, 0.90);
-    obs::TraceBuffer *const tbuf = cfg.trace;
-    ats.setTrace(tbuf);
-    buffer.setTrace(tbuf);
-    controller.setTrace(tbuf);
-    DayTelemetry telem(cfg.telemetry, chip);
-    obs::Auditor *const audit = cfg.audit;
-    if (audit)
-        audit->setTrace(tbuf);
-    // Charge-path conversion efficiency of the buffer's own MPPT.
-    constexpr double charge_path_eff = 0.95;
-    // Stable discharge level while bridging sub-threshold periods.
-    const double buffer_budget_w = 2.0 * cfg.thresholdW;
-
-    DayResult &day = result.day;
-    const double dt_min = cfg.dtSeconds / 60.0;
-    const double dt_h = cfg.dtSeconds / 3600.0;
-    double last_track_minute = -1e9;
-    bool was_on_solar = false;
-    std::optional<SimWorkspace> local_ws;
-    SimWorkspace &ws = selectWorkspace(local_ws, cfg);
-    ws.thermal.assign(static_cast<std::size_t>(chip.numCores()),
-                      cpu::ThermalModel());
-    std::vector<cpu::ThermalModel> &thermal = ws.thermal;
-
-    // Same batched MPP precompute as simulateDay.
-    stageStepMpps(ws, module, trace, dt_min, cfg);
-    const std::vector<pv::MppResult> &step_mpps = ws.stepMpps;
-    std::size_t step_index = 0;
-
-    chip.setAllLevels(chip.dvfs().maxLevel());
-    for (double minute = trace.startMinute(); minute <= trace.endMinute();
-         minute += dt_min) {
-        SC_PROFILE_SCOPE("step");
-        if (tbuf)
-            tbuf->setNow(minute);
-        power::NetworkState step_net;
-        const double g = trace.irradianceAt(minute);
-        const double ambient = trace.ambientAt(minute);
-        array.setEnvironment({g, module.cellTempFromAmbient(ambient, g)});
-        // Mirror simulateDay's thermal handling instead of always using
-        // the ambient proxy, so the rcThermal/pcpg ablations act on the
-        // hybrid extension too.
-        if (cfg.rcThermal)
-            day.thermalThrottles +=
-                stepRcThermal(chip, thermal, ambient, cfg);
-        else
-            setDieTemps(chip, ambient);
-        const pv::MppResult mpp = step_mpps[step_index++];
-        day.mppEnergyWh += mpp.power * dt_h;
-
-        ats.update(mpp.power, cfg.dtSeconds);
-        const bool on_solar = ats.onSolar();
-        bool on_buffer = false;
-
-        if (on_solar) {
-            TrackResult tr;
-            if (!was_on_solar ||
-                minute - last_track_minute >= cfg.trackingPeriodMinutes) {
-                if (tbuf) {
-                    emitRetrack(tbuf,
-                                was_on_solar
-                                    ? obs::RetrackCause::Periodic
-                                    : obs::RetrackCause::SolarEntry,
-                                mpp.power, chip.totalPower());
-                }
-                ++day.retracks;
-                tr = controller.track();
-                last_track_minute = minute;
-            } else {
-                tr = controller.enforceRail();
-            }
-            step_net = tr.net;
-            const double consumed = chip.totalPower();
-            // The tracking margin charges the buffer through its own
-            // MPPT path instead of being left on the panel.
-            const double headroom = std::max(0.0, mpp.power - consumed);
-            buffer.charge(headroom * charge_path_eff, dt_h);
-            day.solarEnergyWh +=
-                (consumed + headroom * charge_path_eff) * dt_h;
-            ats.accountEnergy(consumed, cfg.dtSeconds);
-        } else {
-            // Sub-threshold supply still trickles into the buffer.
-            buffer.charge(mpp.power * charge_path_eff, dt_h);
-            day.solarEnergyWh += mpp.power * charge_path_eff * dt_h;
-
-            const auto alloc = optimizeAllocation(chip, buffer_budget_w);
-            const double want = alloc.feasible ? alloc.powerW : 0.0;
-            if (want > 0.0 && buffer.storedWh() * 0.9 >= want * dt_h) {
-                applyAllocation(chip, alloc);
-                const double delivered =
-                    buffer.discharge(chip.totalPower(), dt_h);
-                result.bufferedWh += delivered;
-                on_buffer = true;
-            } else {
-                chip.setAllLevels(chip.dvfs().maxLevel());
-                ats.accountEnergy(chip.totalPower(), cfg.dtSeconds);
-            }
-        }
-
-        if (telem) {
-            telem.sample(minute, chip, mpp.power,
-                         on_buffer ? buffer_budget_w : mpp.power,
-                         on_solar, step_net.valid ? &step_net : nullptr,
-                         controller.converter().ratio(),
-                         buffer.socFraction());
-        }
-
-        const double instr_before = chip.totalInstructions();
-        {
-            SC_PROFILE_SCOPE("chip.step");
-            chip.step(cfg.dtSeconds);
-        }
-        const double delta = chip.totalInstructions() - instr_before;
-        day.totalInstructions += delta;
-        if (on_solar || on_buffer)
-            day.solarInstructions += delta;
-
-        if (audit) {
-            SC_PROFILE_SCOPE("audit");
-            audit->setNow(minute);
-            audit->countStep();
-            if (on_solar)
-                audit->checkBudget(chip.totalPower(), mpp.power,
-                                   "hybrid solar draw vs MPP budget");
-            else if (on_buffer)
-                audit->checkBudget(chip.totalPower(), buffer_budget_w,
-                                   "buffer draw vs discharge budget");
-            if (step_net.valid) {
-                audit->checkRailVoltage(step_net.load.voltage,
-                                        cfg.controller.railNominalV,
-                                        "converter rail vs nominal");
-                audit->checkPanelPoint(
-                    step_net.panel.current,
-                    array.currentAt(step_net.panel.voltage),
-                    array.currentAt(0.0),
-                    "solved panel point vs I-V curve");
-            }
-            audit->checkSocRange(buffer.socFraction(),
-                                 "buffer state of charge");
-            auditChipState(*audit, chip);
-        }
-        was_on_solar = on_solar;
-    }
-
-    if (audit) {
-        audit->setNow(trace.endMinute());
-        audit->checkEnergyBalance(buffer.absorbedWh(), buffer.storedWh(),
-                                  buffer.deliveredWh(), buffer.lostWh(),
-                                  "battery ledger closure");
-    }
-
-    day.gridEnergyWh = ats.gridEnergyWh();
-    day.chipEnergyWh = chip.totalEnergy() / 3600.0;
-    day.utilization = day.mppEnergyWh > 0.0
-        ? std::min(1.0, day.solarEnergyWh / day.mppEnergyWh)
-        : 0.0;
-    day.transferCount = ats.transferCount();
-    result.greenEnergyWh = day.chipEnergyWh - day.gridEnergyWh;
-    const double total_energy = day.chipEnergyWh;
-    result.greenFraction =
-        total_energy > 0.0 ? result.greenEnergyWh / total_energy : 0.0;
+    DayRun run = runDay(chip, module, trace, cfg,
+                        BufferedSupply{battery_capacity_wh});
+    HybridDayResult result;
+    result.day = std::move(run.day);
+    result.batteryCapacityWh = battery_capacity_wh;
+    result.greenEnergyWh = run.greenEnergyWh;
+    const double total = run.greenEnergyWh + result.day.gridEnergyWh;
+    result.greenFraction = total > 0.0 ? run.greenEnergyWh / total : 0.0;
+    if (run.buffer)
+        result.bufferedWh = run.buffer->deliveredWh();
     if (cfg.stats) {
-        foldDayStats(*cfg.stats, day, chip);
-        cfg.stats->scalar("battery.deliveredWh",
-                          "energy delivered from the buffer [Wh]") +=
-            buffer.deliveredWh();
-        cfg.stats->scalar("battery.lostWh",
-                          "buffer conversion/self-discharge losses "
-                          "[Wh]") += buffer.lostWh();
+        foldDayStats(*cfg.stats, result.day, chip);
+        if (run.buffer) {
+            auto &reg = *cfg.stats;
+            reg.scalar("battery.absorbedWh",
+                       "energy the buffer absorbed while charging "
+                       "[Wh]") += run.buffer->absorbedWh();
+            reg.scalar("battery.deliveredWh",
+                       "energy delivered from the buffer [Wh]") +=
+                run.buffer->deliveredWh();
+            reg.scalar("battery.lostWh",
+                       "buffer conversion/self-discharge losses [Wh]") +=
+                run.buffer->lostWh();
+        }
     }
     return result;
 }
@@ -759,79 +732,16 @@ simulateBatteryDay(const pv::PvModule &module,
     SC_ASSERT(derating_factor > 0.0 && derating_factor <= 1.0,
               "simulateBatteryDay: bad de-rating factor");
     SC_PROFILE_SCOPE("day");
+    auto chip = buildChip(workload, cfg);
+    const DayRun run = runDay(chip, module, trace, cfg,
+                              DeratedSupply{derating_factor});
     BatteryDayResult result;
     result.deratingFactor = derating_factor;
-
-    // Pass 1: harvestable energy at the MPP over the day.
-    const double dt_min = cfg.dtSeconds / 60.0;
-    {
-        // Pass 1 is a pure reduction over the trace: gather the step
-        // environments and fold the batched MPP powers.
-        std::optional<SimWorkspace> local_ws;
-        SimWorkspace &ws = selectWorkspace(local_ws, cfg);
-        stageStepMpps(ws, module, trace, dt_min, cfg);
-        for (const pv::MppResult &mpp : ws.stepMpps)
-            result.mppEnergyWh += mpp.power * cfg.dtSeconds / 3600.0;
-    }
-
-    // Stable delivery level over the full daytime window.
-    const double day_hours =
-        (trace.endMinute() - trace.startMinute()) / 60.0;
-    result.budgetW = derating_factor * result.mppEnergyWh / day_hours;
-
-    // Pass 2: run the chip at that constant budget, re-allocating at
-    // each tracking period to follow workload phases.
-    auto chip = buildChip(workload, cfg);
-    DayTelemetry telem(cfg.telemetry, chip);
-    obs::Auditor *const audit = cfg.audit;
-    if (audit)
-        audit->setTrace(cfg.trace);
-    double last_alloc_minute = -1e9;
-    for (double minute = trace.startMinute(); minute <= trace.endMinute();
-         minute += dt_min) {
-        SC_PROFILE_SCOPE("step");
-        if (cfg.trace)
-            cfg.trace->setNow(minute);
-        setDieTemps(chip, trace.ambientAt(minute));
-        if (minute - last_alloc_minute >= cfg.trackingPeriodMinutes ||
-            chip.totalPower() > result.budgetW) {
-            if (cfg.trace) {
-                emitRetrack(cfg.trace,
-                            minute - last_alloc_minute >=
-                                    cfg.trackingPeriodMinutes
-                                ? obs::RetrackCause::Periodic
-                                : obs::RetrackCause::DemandDelta,
-                            result.budgetW, chip.totalPower());
-            }
-            const auto alloc = optimizeAllocation(chip, result.budgetW);
-            if (alloc.feasible)
-                applyAllocation(chip, alloc);
-            else
-                chip.gateAll();
-            last_alloc_minute = minute;
-        }
-        if (telem) {
-            telem.sample(minute, chip, std::nan(""), result.budgetW,
-                         true, nullptr, std::nan(""), std::nan(""));
-        }
-        if (audit) {
-            SC_PROFILE_SCOPE("audit");
-            audit->setNow(minute);
-            audit->countStep();
-            audit->checkBudget(chip.totalPower(), result.budgetW,
-                               "battery baseline draw vs stable budget");
-            auditChipState(*audit, chip);
-        }
-        result.consumedWh += chip.totalPower() * cfg.dtSeconds / 3600.0;
-        {
-            SC_PROFILE_SCOPE("chip.step");
-            chip.step(cfg.dtSeconds);
-        }
-    }
+    result.budgetW = run.budgetW;
     result.instructions = chip.totalInstructions();
-    result.utilization = result.mppEnergyWh > 0.0
-        ? result.consumedWh / result.mppEnergyWh
-        : 0.0;
+    result.mppEnergyWh = run.day.mppEnergyWh;
+    result.consumedWh = run.day.solarEnergyWh;
+    result.utilization = run.day.utilization;
     if (cfg.stats) {
         auto &reg = *cfg.stats;
         ++reg.scalar("sim.batteryDays",

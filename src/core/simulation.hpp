@@ -7,6 +7,12 @@
  * effective operation duration, performance-time product (PTP) and
  * relative MPP tracking error -- plus an optional per-minute timeline
  * for the Figure 13/14 reproductions.
+ *
+ * The three drivers below run one day loop and differ only in how it
+ * supplies the chip: direct from the panel with grid backup
+ * (simulateDay), the same plus a storage buffer (simulateHybridDay),
+ * or derated storage at a stable budget (simulateBatteryDay). The
+ * loop steps at minute start + i * dt for i < floor(window / dt) + 1.
  */
 
 #ifndef SOLARCORE_CORE_SIMULATION_HPP
@@ -156,12 +162,15 @@ struct TimelinePoint
 struct DayResult
 {
     double mppEnergyWh = 0.0;   //!< theoretical maximum solar energy
-    double solarEnergyWh = 0.0; //!< energy actually drawn from the panel
+    double solarEnergyWh = 0.0; //!< energy the panel delivered: to the
+                                //!< chip, plus (hybrid) the charge the
+                                //!< buffer absorbed
     double gridEnergyWh = 0.0;  //!< energy drawn from the utility
     double chipEnergyWh = 0.0;  //!< energy the chip consumed in total
     double utilization = 0.0;   //!< solarEnergyWh / mppEnergyWh
-    double effectiveFraction = 0.0; //!< solar-powered share of daytime
-    double solarInstructions = 0.0; //!< PTP: instructions on solar power
+    double effectiveFraction = 0.0; //!< green-powered share of daytime
+                                    //!< (panel, or hybrid buffer)
+    double solarInstructions = 0.0; //!< PTP: instructions on green power
     double totalInstructions = 0.0; //!< including grid-powered periods
     double avgTrackingError = 0.0;  //!< geomean of per-period rel. error
     int transferCount = 0;      //!< ATS transfers over the day
@@ -199,17 +208,24 @@ struct HybridDayResult
     DayResult day;              //!< the underlying SolarCore day
     double batteryCapacityWh = 0.0;
     double bufferedWh = 0.0;    //!< energy delivered from the buffer
-    double greenEnergyWh = 0.0; //!< panel + buffer energy consumed
+    double greenEnergyWh = 0.0; //!< panel -> chip plus buffer -> chip
     double greenFraction = 0.0; //!< green / (green + grid) energy
 };
 
 /**
  * Future-work extension (paper Section 8): a direct-coupled SolarCore
- * system with a small storage buffer. The buffer charges from the
- * tracking margin (the MPP headroom the load cannot absorb) and from
- * sub-threshold supply, and discharges to keep the chip on green
- * power whenever the panel alone cannot carry it. A capacity of 0
- * degenerates to plain simulateDay.
+ * system with a small storage buffer. The day runs as simulateDay
+ * under whatever policy @p cfg names; in addition, the MPP power the
+ * chip leaves on the panel (the tracking margin, and all of it below
+ * the transfer threshold) charges the buffer through a 0.95-efficient
+ * path, and when the panel cannot carry the chip the buffer powers a
+ * throughput-optimal allocation at twice the transfer threshold for
+ * every step it holds enough energy. day.solarEnergyWh counts the
+ * charge the buffer absorbed (at the panel side of the charge path),
+ * not the charge offered to it. A capacity of 0 Wh means no buffer,
+ * so the day is the plain simulateDay. A buffered day with cfg.stats
+ * set also folds battery.absorbedWh, battery.deliveredWh and
+ * battery.lostWh.
  */
 HybridDayResult simulateHybridDay(const pv::PvModule &module,
                                   const solar::SolarTrace &trace,
@@ -222,7 +238,8 @@ HybridDayResult simulateHybridDay(const pv::PvModule &module,
  * at the MPP into storage with the given overall de-rating factor
  * (Table 3), and the chip runs the whole daytime window at the stable
  * power level the stored energy sustains, allocated by the same
- * optimizer as Fixed-Power.
+ * optimizer as Fixed-Power. Die temperatures follow cfg.rcThermal as
+ * in the other drivers.
  */
 BatteryDayResult simulateBatteryDay(const pv::PvModule &module,
                                     const solar::SolarTrace &trace,

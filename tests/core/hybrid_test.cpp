@@ -3,9 +3,16 @@
  * Tests for the hybrid direct-coupled + storage-buffer extension.
  */
 
+#include <cmath>
+#include <string>
+#include <tuple>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "core/simulation.hpp"
+#include "obs/auditor.hpp"
+#include "obs/stats_registry.hpp"
 
 namespace solarcore::core {
 namespace {
@@ -97,6 +104,122 @@ TEST(Hybrid, SteadySiteBenefitsLessThanVolatileSite)
             .greenFraction;
     EXPECT_GT(volatile_gain, steady_gain);
 }
+
+using SiteMonth = std::pair<solar::SiteId, solar::Month>;
+
+std::string
+siteMonthName(const SiteMonth &sm)
+{
+    return std::string(solar::siteName(sm.first)) + "_" +
+        solar::monthName(sm.second);
+}
+
+class HybridVsPlain
+    : public ::testing::TestWithParam<std::tuple<SiteMonth, PolicyKind>>
+{
+};
+
+// A buffer too small to ever bridge a step (1 nWh) must leave the
+// day's control path untouched: the hybrid day is then the plain day.
+TEST_P(HybridVsPlain, NanoWattHourBufferIsThePlainDay)
+{
+    const auto [site_month, policy] = GetParam();
+    const auto module = pv::buildBp3180n();
+    const auto trace =
+        solar::generateDayTrace(site_month.first, site_month.second, 7);
+    auto cfg = fastConfig();
+    cfg.policy = policy;
+    cfg.seed = 7;
+    const auto plain =
+        simulateDay(module, trace, workload::WorkloadId::HM2, cfg);
+    const auto zero = simulateHybridDay(module, trace,
+                                        workload::WorkloadId::HM2, 0.0,
+                                        cfg);
+    const auto tiny = simulateHybridDay(module, trace,
+                                        workload::WorkloadId::HM2, 1e-9,
+                                        cfg);
+    const DayResult &day = tiny.day;
+    EXPECT_EQ(day.retracks, plain.retracks);
+    EXPECT_EQ(day.transferCount, plain.transferCount);
+    EXPECT_EQ(day.controllerSteps, plain.controllerSteps);
+    EXPECT_EQ(day.thermalThrottles, plain.thermalThrottles);
+    EXPECT_EQ(day.solarInstructions, plain.solarInstructions);
+    EXPECT_EQ(day.totalInstructions, plain.totalInstructions);
+    EXPECT_EQ(day.effectiveFraction, plain.effectiveFraction);
+    EXPECT_EQ(day.avgTrackingError, plain.avgTrackingError);
+    constexpr double kWh = 1e-6;
+    EXPECT_NEAR(day.mppEnergyWh, plain.mppEnergyWh, kWh);
+    EXPECT_NEAR(day.solarEnergyWh, plain.solarEnergyWh, kWh);
+    EXPECT_NEAR(day.gridEnergyWh, plain.gridEnergyWh, kWh);
+    EXPECT_NEAR(day.chipEnergyWh, plain.chipEnergyWh, kWh);
+    EXPECT_NEAR(day.utilization, plain.utilization, 1e-9);
+    EXPECT_NEAR(tiny.greenEnergyWh, plain.solarEnergyWh, kWh);
+    EXPECT_NEAR(tiny.bufferedWh, 0.0, kWh);
+    EXPECT_NEAR(tiny.greenFraction, zero.greenFraction, 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SitesAndPolicies, HybridVsPlain,
+    ::testing::Combine(
+        ::testing::Values(SiteMonth{solar::SiteId::AZ, solar::Month::Jan},
+                          SiteMonth{solar::SiteId::NC, solar::Month::Apr},
+                          SiteMonth{solar::SiteId::AZ, solar::Month::Jul}),
+        ::testing::Values(PolicyKind::MpptOpt, PolicyKind::MpptRr,
+                          PolicyKind::FixedPower)),
+    [](const auto &info) {
+        const PolicyKind policy = std::get<1>(info.param);
+        return siteMonthName(std::get<0>(info.param)) + "_" +
+            (policy == PolicyKind::MpptOpt  ? "Opt"
+                 : policy == PolicyKind::MpptRr ? "RR"
+                                                : "Fixed");
+    });
+
+class HybridLedger
+    : public ::testing::TestWithParam<std::tuple<SiteMonth, double>>
+{
+};
+
+// Solar energy is what the panel delivered: to the chip directly
+// (green minus buffered), and to the buffer as the buffer absorbed it,
+// seen from the panel side of the 0.95 charge path.
+TEST_P(HybridLedger, SolarEnergyIsPanelToChipPlusAbsorbed)
+{
+    const auto [site_month, capacity_wh] = GetParam();
+    const auto module = pv::buildBp3180n();
+    const auto trace =
+        solar::generateDayTrace(site_month.first, site_month.second, 7);
+    obs::StatsRegistry stats;
+    obs::Auditor audit;
+    auto cfg = fastConfig();
+    cfg.seed = 7;
+    cfg.stats = &stats;
+    cfg.audit = &audit;
+    const auto r = simulateHybridDay(module, trace,
+                                     workload::WorkloadId::HM2,
+                                     capacity_wh, cfg);
+    const double absorbed = stats.value("battery.absorbedWh");
+    EXPECT_GT(absorbed, 0.0);
+    EXPECT_GT(r.bufferedWh, 0.0);
+    EXPECT_DOUBLE_EQ(stats.value("battery.deliveredWh"), r.bufferedWh);
+    const double expected =
+        (r.greenEnergyWh - r.bufferedWh) + absorbed / 0.95;
+    EXPECT_NEAR(r.day.solarEnergyWh, expected,
+                1e-9 * std::abs(expected));
+    EXPECT_LE(r.day.utilization, 1.0);
+    EXPECT_EQ(audit.violationCount(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SitesAndCapacities, HybridLedger,
+    ::testing::Combine(
+        ::testing::Values(SiteMonth{solar::SiteId::NC, solar::Month::Apr},
+                          SiteMonth{solar::SiteId::AZ, solar::Month::Jan}),
+        ::testing::Values(5.0, 25.0)),
+    [](const auto &info) {
+        return siteMonthName(std::get<0>(info.param)) + "_" +
+            std::to_string(static_cast<int>(std::get<1>(info.param))) +
+            "Wh";
+    });
 
 } // namespace
 } // namespace solarcore::core

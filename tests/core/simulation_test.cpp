@@ -4,10 +4,13 @@
  * ranges, determinism, and the paper's qualitative policy ordering.
  */
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "core/simulation.hpp"
 #include "power/battery.hpp"
+#include "pv/pv_kernel.hpp"
 
 namespace solarcore::core {
 namespace {
@@ -189,6 +192,56 @@ TEST(Simulation, TimelineOnlyWhenRequested)
     const auto r = simulateDay(module, trace, workload::WorkloadId::L1, cfg);
     EXPECT_GE(r.timeline.size(), 590u);
     EXPECT_LE(r.timeline.size(), 610u);
+}
+
+TEST(Simulation, MppEnergySumsTheIntegerStepGrid)
+{
+    // The day steps at start + i * dt for i < floor(window / dt) + 1.
+    // At 20 s and 36 s, accumulating minute += dt instead drops the
+    // 17:30 step; 15 s and 60 s are binary fractions of a minute.
+    const pv::PvKernel saved = pv::selectedPvKernel();
+    pv::setPvKernel(pv::PvKernel::Scalar);
+    const auto module = pv::buildBp3180n();
+    const auto trace = solar::generateDayTrace(solar::SiteId::AZ,
+                                               solar::Month::Jul, 7);
+    for (double dt : {15.0, 20.0, 36.0, 60.0}) {
+        const double dt_min = dt / 60.0;
+        const int steps = static_cast<int>(std::floor(
+                              (trace.endMinute() - trace.startMinute()) /
+                              dt_min)) +
+            1;
+        pv::PvArray array(module, 1, 1, pv::kStc);
+        double expected = 0.0;
+        for (int i = 0; i < steps; ++i) {
+            const double minute = trace.startMinute() + i * dt_min;
+            const double g = trace.irradianceAt(minute);
+            array.setEnvironment(
+                {g, module.cellTempFromAmbient(trace.ambientAt(minute), g)});
+            expected += pv::findMpp(array).power * dt / 3600.0;
+        }
+        auto cfg = fastConfig();
+        cfg.dtSeconds = dt;
+        const auto r =
+            simulateDay(module, trace, workload::WorkloadId::HM2, cfg);
+        EXPECT_EQ(r.mppEnergyWh, expected) << "dt " << dt << " s";
+    }
+    pv::setPvKernel(saved);
+}
+
+TEST(BatterySim, HonoursRcThermal)
+{
+    const auto module = pv::buildBp3180n();
+    const auto trace = solar::generateDayTrace(solar::SiteId::AZ,
+                                               solar::Month::Jul, 1);
+    auto rc = fastConfig();
+    rc.rcThermal = true;
+    const auto with_rc = simulateBatteryDay(
+        module, trace, workload::WorkloadId::HM2, 0.92, rc);
+    const auto proxy = simulateBatteryDay(
+        module, trace, workload::WorkloadId::HM2, 0.92, fastConfig());
+    EXPECT_EQ(with_rc.budgetW, proxy.budgetW);
+    EXPECT_NE(with_rc.instructions, proxy.instructions);
+    EXPECT_NE(with_rc.consumedWh, proxy.consumedWh);
 }
 
 TEST(BatterySim, UpperBoundBeatsLowerBound)
