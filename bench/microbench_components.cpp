@@ -90,7 +90,7 @@ BM_PinRailVoltage(benchmark::State &state)
 }
 BENCHMARK(BM_PinRailVoltage);
 
-// --- batched SoA kernels (scalar oracle vs portable vs AVX2) --------
+// --- batched SoA MPP kernel (scalar oracle vs AVX2) -----------------
 
 /** A varied light-lane trace for the batch benches. */
 std::vector<pv::Environment>
@@ -136,65 +136,11 @@ BM_FindMppBatchScalar(benchmark::State &state)
 BENCHMARK(BM_FindMppBatchScalar)->Arg(1024);
 
 void
-BM_FindMppBatchPortable(benchmark::State &state)
-{
-    runFindMppBatch(state, pv::PvKernel::Portable);
-}
-BENCHMARK(BM_FindMppBatchPortable)->Arg(1024);
-
-void
 BM_FindMppBatchAvx2(benchmark::State &state)
 {
     runFindMppBatch(state, pv::PvKernel::Avx2);
 }
 BENCHMARK(BM_FindMppBatchAvx2)->Arg(1024);
-
-void
-runEvalIvBatch(benchmark::State &state, pv::PvKernel kernel)
-{
-    if (!pv::pvKernelSupported(kernel)) {
-        state.SkipWithError("kernel not supported on this machine");
-        return;
-    }
-    const auto &cell = bench::standardModule().cell();
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const auto envs = batchEnvTrace(n);
-    std::vector<double> volts(n);
-    for (std::size_t k = 0; k < n; ++k)
-        volts[k] = 0.30 + 0.25 * static_cast<double>(k % 11) / 10.0;
-    std::vector<pv::IvOut> out(n);
-    const pv::PvKernel prev = pv::selectedPvKernel();
-    pv::setPvKernel(kernel);
-    for (auto _ : state) {
-        pv::evalIv(cell, envs, volts, out);
-        benchmark::DoNotOptimize(out.data());
-        benchmark::ClobberMemory();
-    }
-    pv::setPvKernel(prev);
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(n));
-}
-
-void
-BM_EvalIvBatchScalar(benchmark::State &state)
-{
-    runEvalIvBatch(state, pv::PvKernel::Scalar);
-}
-BENCHMARK(BM_EvalIvBatchScalar)->Arg(1024);
-
-void
-BM_EvalIvBatchPortable(benchmark::State &state)
-{
-    runEvalIvBatch(state, pv::PvKernel::Portable);
-}
-BENCHMARK(BM_EvalIvBatchPortable)->Arg(1024);
-
-void
-BM_EvalIvBatchAvx2(benchmark::State &state)
-{
-    runEvalIvBatch(state, pv::PvKernel::Avx2);
-}
-BENCHMARK(BM_EvalIvBatchAvx2)->Arg(1024);
 
 void
 BM_PinRailVoltagePrepared(benchmark::State &state)
@@ -303,9 +249,10 @@ BENCHMARK(BM_SimulatedDayNewton)
 void
 BM_SimulatedDayScalarKernel(benchmark::State &state)
 {
-    // End-to-end day with the batch kernels disabled: everything the
-    // default BM_SimulatedDay gains over this row is the SoA batching
-    // plus SIMD dispatch plumbed through the day driver.
+    // End-to-end day with the batch MPP kernel disabled. The
+    // controller pins through PreparedArray under either kernel, so
+    // everything the default BM_SimulatedDay gains over this row is
+    // the SIMD batching of the staged step MPPs.
     const pv::PvKernel prev = pv::selectedPvKernel();
     pv::setPvKernel(pv::PvKernel::Scalar);
     for (auto _ : state) {

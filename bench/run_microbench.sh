@@ -9,10 +9,12 @@
 # seed implementation), so one run captures both sides of the
 # Lambert-W comparison, and BM_SimulatedDayObsOff /
 # BM_SimulatedDayTraced bracket the instrumentation layer's overhead.
-# BM_FindMppBatch* / BM_EvalIvBatch* / BM_SimulatedDayScalarKernel
-# bracket the batched SoA kernels against the scalar oracle, and the
-# final section records the end-to-end fig13 scalar-vs-dispatched
-# campaign speedup (with a golden parity check) in BENCH_campaign.json
+# BM_FindMppBatch* / BM_SimulatedDayScalarKernel bracket the batched
+# SoA MPP kernel against the scalar oracle (the controller's prepared
+# rail pin runs under both kernels, so these rows isolate the staged
+# MPP solve), and the final section records the end-to-end fig13
+# scalar-vs-dispatched campaign speedup (with a golden parity check)
+# in BENCH_campaign.json
 # and the sustained-load serve daemon numbers (cold/warm throughput,
 # cache-hit latency floor, tracing-off overhead gate) in
 # BENCH_serve.json.
@@ -230,11 +232,12 @@ for name, label in (("BM_SimulatedDayTelemetry/60", "telemetry"),
 EOF
 
 # --- batched-kernel campaign speedup (BENCH_campaign.json) ----------
-# The fig13 preset, once with the batch kernels disabled (scalar
-# oracle) and once with the dispatched kernel, each reporting the
-# tool's own end-of-run units-per-second. The dispatched kernel must
-# also reproduce the scalar summary within the golden-check
-# tolerances; a fast-but-wrong kernel fails the script.
+# The fig13 preset, once with the batch MPP kernel disabled (scalar
+# oracle; the prepared rail pin still runs) and once with the
+# dispatched kernel, each reporting the tool's own end-of-run
+# units-per-second. The dispatched kernel must also reproduce the
+# scalar summary within the golden-check tolerances; a fast-but-wrong
+# kernel fails the script.
 campaign_bin="${build_dir}/tools/solarcore_campaign"
 golden_bin="${build_dir}/tools/golden_check"
 if [[ -x "${campaign_bin}" && -x "${golden_bin}" ]]; then

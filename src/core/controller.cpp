@@ -25,10 +25,10 @@ power::NetworkState
 SolarCoreController::pinRail(double demand_w)
 {
     // Non-uniform panels (partial shading / composite strings) and the
-    // Scalar-kernel / Newton-oracle modes keep the legacy call
-    // sequence, which doubles as the measurable parity baseline.
-    if (arrayPanel_ && pv::selectedPvKernel() != pv::PvKernel::Scalar &&
-        !pv::newtonIvSolve()) {
+    // Newton oracle keep the legacy call sequence, which doubles as the
+    // measurable parity baseline. The PV kernel choice does not enter
+    // here: it governs findMppBatch alone.
+    if (arrayPanel_ && !pv::newtonIvSolve()) {
         if (!prepared_) {
             prepared_.emplace(arrayPanel_->module(),
                               arrayPanel_->modulesSeries(),

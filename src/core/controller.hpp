@@ -128,11 +128,11 @@ class SolarCoreController
 
     /**
      * Pin the rail at nominal for @p demand_w. When the panel is a
-     * uniform PvArray and a batch PV kernel is selected (and the
-     * Newton oracle is off), this routes through the PreparedArray
-     * fast path -- the per-environment constants and the MPP are
-     * derived once per environment change instead of once per probe.
-     * Otherwise it is exactly the legacy pinRailVoltage call.
+     * uniform PvArray (and the Newton oracle is off), this routes
+     * through the PreparedArray fast path -- the per-environment
+     * constants and the MPP are derived once per environment change
+     * instead of once per probe -- under every PV kernel. Otherwise
+     * it is exactly the legacy pinRailVoltage call.
      */
     power::NetworkState pinRail(double demand_w);
 

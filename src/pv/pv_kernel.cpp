@@ -38,41 +38,50 @@ namespace {
 // oracle flag: global, relaxed atomics, set once at startup.
 std::atomic<int> g_pv_kernel{-1};
 
-void
-batchEvalDispatch(const detail::CellConsts &c, const double *g,
-                  const double *t, const double *v, std::size_t n,
-                  double *i_out, double *di_out, PvKernel kernel)
-{
 #ifdef SOLARCORE_HAVE_AVX2
-    if (kernel == PvKernel::Avx2) {
-        detail::evalIvBatchAvx2(c, g, t, v, n, i_out, di_out);
-        return;
-    }
-#else
-    (void)kernel;
-#endif
-    detail::evalIvBatchPortable(c, g, t, v, n, i_out, di_out);
-}
-
-void
-batchMppDispatch(const detail::CellConsts &c, const double *g,
-                 const double *t, std::size_t n, double *v_out,
-                 double *i_out, PvKernel kernel)
-{
-#ifdef SOLARCORE_HAVE_AVX2
-    if (kernel == PvKernel::Avx2) {
-        detail::mppBatchAvx2(c, g, t, n, v_out, i_out);
-        return;
-    }
-#else
-    (void)kernel;
-#endif
-    detail::mppBatchPortable(c, g, t, n, v_out, i_out);
-}
-
 // Lane-chunk size for the SoA gather buffers: big enough to amortize
 // the loop overhead, small enough to live on the stack.
 constexpr std::size_t kChunk = 128;
+
+/** findMppBatch on the AVX2 lanes; the cell must have Rs > 0. */
+void
+findMppBatchAvx2(const PvModule &module, int modules_series,
+                 int modules_parallel, std::span<const Environment> envs,
+                 std::span<MppResult> out)
+{
+    const detail::CellConsts consts =
+        detail::CellConsts::from(module.cell());
+    const double v_scale =
+        static_cast<double>(module.cellsSeries() * modules_series);
+    const double i_scale =
+        static_cast<double>(module.stringsParallel() * modules_parallel);
+    alignas(64) double gs[kChunk], ts[kChunk];
+    alignas(64) double vm[kChunk], im[kChunk];
+    for (std::size_t base = 0; base < envs.size(); base += kChunk) {
+        const std::size_t m = std::min(kChunk, envs.size() - base);
+        for (std::size_t j = 0; j < m; ++j) {
+            const Environment &e = envs[base + j];
+            // Dark lanes run the vector math on a benign stand-in and
+            // are overwritten with the exact all-zero MPP below (lanes
+            // are independent, so the stand-in affects nothing).
+            const bool dark = e.irradiance <= 0.0;
+            gs[j] = dark ? kStc.irradiance : e.irradiance;
+            ts[j] = e.cellTempC;
+        }
+        detail::mppBatchAvx2(consts, gs, ts, m, vm, im);
+        for (std::size_t j = 0; j < m; ++j) {
+            if (envs[base + j].irradiance <= 0.0) {
+                out[base + j] = MppResult{};
+            } else {
+                MppResult &r = out[base + j];
+                r.voltage = vm[j] * v_scale;
+                r.current = im[j] * i_scale;
+                r.power = r.voltage * r.current;
+            }
+        }
+    }
+}
+#endif
 
 } // namespace
 
@@ -82,30 +91,10 @@ pvKernelName(PvKernel kernel)
     switch (kernel) {
     case PvKernel::Scalar:
         return "scalar";
-    case PvKernel::Portable:
-        return "portable";
     case PvKernel::Avx2:
         return "avx2";
     }
     return "unknown";
-}
-
-bool
-pvKernelFromToken(std::string_view token, PvKernel &out)
-{
-    if (token == "scalar") {
-        out = PvKernel::Scalar;
-        return true;
-    }
-    if (token == "portable") {
-        out = PvKernel::Portable;
-        return true;
-    }
-    if (token == "avx2") {
-        out = PvKernel::Avx2;
-        return true;
-    }
-    return false;
 }
 
 PvKernel
@@ -115,7 +104,7 @@ detectPvKernel()
     if (cpuHasAvx2())
         return PvKernel::Avx2;
 #endif
-    return PvKernel::Portable;
+    return PvKernel::Scalar;
 }
 
 bool
@@ -123,7 +112,6 @@ pvKernelSupported(PvKernel kernel)
 {
     switch (kernel) {
     case PvKernel::Scalar:
-    case PvKernel::Portable:
         return true;
     case PvKernel::Avx2:
 #ifdef SOLARCORE_HAVE_AVX2
@@ -133,6 +121,17 @@ pvKernelSupported(PvKernel kernel)
 #endif
     }
     return false;
+}
+
+std::optional<PvKernel>
+resolvePvKernel(std::string_view token)
+{
+    if (token == "auto")
+        return detectPvKernel();
+    for (PvKernel kernel : {PvKernel::Scalar, PvKernel::Avx2})
+        if (token == pvKernelName(kernel) && pvKernelSupported(kernel))
+            return kernel;
+    return std::nullopt;
 }
 
 void
@@ -157,56 +156,6 @@ selectedPvKernel()
 }
 
 void
-evalIv(const SolarCell &cell, std::span<const Environment> envs,
-       std::span<const double> v, std::span<IvOut> out)
-{
-    SC_ASSERT(envs.size() == v.size() && envs.size() == out.size(),
-              "evalIv: span lengths differ");
-    const PvKernel kernel = selectedPvKernel();
-    if (kernel == PvKernel::Scalar || newtonIvSolve() ||
-        cell.params().seriesRes <= 0.0) {
-        // Parity-oracle route: the untouched per-call scalar path
-        // (bitwise identical to legacy callers, including the exact
-        // expm1 Rs = 0 formula and the Newton oracle when flagged).
-        for (std::size_t k = 0; k < envs.size(); ++k) {
-            out[k].current = cell.currentAt(v[k], envs[k]);
-            out[k].slope = cell.currentSlopeAt(v[k], envs[k]);
-        }
-        return;
-    }
-
-    SC_PROFILE_SCOPE("pv.evalIvBatch");
-    const detail::CellConsts consts = detail::CellConsts::from(cell);
-    alignas(64) double gs[kChunk], ts[kChunk], vs[kChunk];
-    alignas(64) double is[kChunk], dis[kChunk];
-    for (std::size_t base = 0; base < envs.size(); base += kChunk) {
-        const std::size_t m = std::min(kChunk, envs.size() - base);
-        for (std::size_t j = 0; j < m; ++j) {
-            const Environment &e = envs[base + j];
-            // Dark lanes run the vector math on a benign stand-in and
-            // are overwritten with the exact scalar dark formula below
-            // (lanes are independent, so the stand-in affects nothing).
-            const bool dark = e.irradiance <= 0.0;
-            gs[j] = dark ? kStc.irradiance : e.irradiance;
-            ts[j] = e.cellTempC;
-            vs[j] = v[base + j];
-        }
-        batchEvalDispatch(consts, gs, ts, vs, m, is, dis, kernel);
-        for (std::size_t j = 0; j < m; ++j) {
-            const Environment &e = envs[base + j];
-            if (e.irradiance <= 0.0) {
-                out[base + j].current = cell.currentAt(v[base + j], e);
-                out[base + j].slope =
-                    cell.currentSlopeAt(v[base + j], e);
-            } else {
-                out[base + j].current = is[j];
-                out[base + j].slope = dis[j];
-            }
-        }
-    }
-}
-
-void
 findMppBatch(const PvModule &module, int modules_series,
              int modules_parallel, std::span<const Environment> envs,
              std::span<MppResult> out)
@@ -216,46 +165,21 @@ findMppBatch(const PvModule &module, int modules_series,
     SC_ASSERT(modules_series > 0 && modules_parallel > 0,
               "findMppBatch: arrangement must be positive");
     SC_PROFILE_SCOPE("pv.findMppBatch");
-    const SolarCell &cell = module.cell();
-    const PvKernel kernel = selectedPvKernel();
-    if (kernel == PvKernel::Scalar || newtonIvSolve() ||
-        cell.params().seriesRes <= 0.0) {
-        // Parity-oracle route: exact per-lane findMpp(PvArray),
-        // including the golden-section path under the Newton oracle.
-        PvArray array(module, modules_series, modules_parallel, kStc);
-        for (std::size_t k = 0; k < envs.size(); ++k) {
-            array.setEnvironment(envs[k]);
-            out[k] = findMpp(array);
-        }
+#ifdef SOLARCORE_HAVE_AVX2
+    if (selectedPvKernel() == PvKernel::Avx2 && !newtonIvSolve() &&
+        module.cell().params().seriesRes > 0.0) {
+        findMppBatchAvx2(module, modules_series, modules_parallel, envs,
+                         out);
         return;
     }
-
-    const detail::CellConsts consts = detail::CellConsts::from(cell);
-    const double v_scale =
-        static_cast<double>(module.cellsSeries() * modules_series);
-    const double i_scale =
-        static_cast<double>(module.stringsParallel() * modules_parallel);
-    alignas(64) double gs[kChunk], ts[kChunk];
-    alignas(64) double vm[kChunk], im[kChunk];
-    for (std::size_t base = 0; base < envs.size(); base += kChunk) {
-        const std::size_t m = std::min(kChunk, envs.size() - base);
-        for (std::size_t j = 0; j < m; ++j) {
-            const Environment &e = envs[base + j];
-            const bool dark = e.irradiance <= 0.0;
-            gs[j] = dark ? kStc.irradiance : e.irradiance;
-            ts[j] = e.cellTempC;
-        }
-        batchMppDispatch(consts, gs, ts, m, vm, im, kernel);
-        for (std::size_t j = 0; j < m; ++j) {
-            if (envs[base + j].irradiance <= 0.0) {
-                out[base + j] = MppResult{};
-            } else {
-                MppResult &r = out[base + j];
-                r.voltage = vm[j] * v_scale;
-                r.current = im[j] * i_scale;
-                r.power = r.voltage * r.current;
-            }
-        }
+#endif
+    // Parity-oracle route: exact per-lane findMpp(PvArray), including
+    // the golden-section path under the Newton oracle and the exact
+    // expm1 formulas of an Rs = 0 cell.
+    PvArray array(module, modules_series, modules_parallel, kStc);
+    for (std::size_t k = 0; k < envs.size(); ++k) {
+        array.setEnvironment(envs[k]);
+        out[k] = findMpp(array);
     }
 }
 

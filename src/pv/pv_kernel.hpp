@@ -1,30 +1,29 @@
 /**
  * @file
- * Batched structure-of-arrays PV kernels with runtime SIMD dispatch.
+ * Batched structure-of-arrays MPP kernel with runtime SIMD dispatch.
  *
  * The campaign runner evaluates millions of nearly identical (G, T)
  * panel points per run; the scalar SolarCell entry points solve them
  * one Lambert-W call at a time, re-deriving every per-environment
  * constant (I0's pow+exp, Iph, the log prefactor) on each call. This
- * layer restructures the hot path three ways:
+ * layer restructures the hot path two ways:
  *
- *  1. evalIv() / findMppBatch() advance many scenario lanes in one
- *     instruction stream over SoA inputs, hoisting the per-lane
- *     constants out of the Newton iterations;
- *  2. the lane loop exists twice -- a portable kernel built with the
- *     baseline ISA, and an explicit AVX2+FMA kernel (4-wide double
- *     vectors with polynomial exp/log) selected at runtime via CPUID.
- *     On non-x86 targets the portable loop is what the native SIMD
- *     (e.g. NEON) autovectorizer sees;
- *  3. PreparedArray caches one environment's derived constants so the
+ *  1. findMppBatch() advances many scenario lanes in one instruction
+ *     stream over SoA inputs, hoisting the per-lane constants out of
+ *     the Newton iterations. The lane loop is an explicit AVX2+FMA
+ *     kernel (4-wide double vectors with polynomial exp/log) selected
+ *     at runtime via CPUID; without AVX2 every lane takes the scalar
+ *     findMpp(PvArray) path;
+ *  2. PreparedArray caches one environment's derived constants so the
  *     controller's repeated pinRailVoltage() probes at a fixed
  *     environment cost a handful of warm Lambert evaluations instead
  *     of a full findMpp plus a 40-step std::function bisect each.
  *
- * PvKernel::Scalar preserves the untouched legacy call sequence as the
- * always-built parity oracle, exactly like the Newton oracle:
- * selecting it routes every consumer (the day drivers' staged MPPs,
- * the controller) through the original per-call scalar code path.
+ * The kernel choice governs findMppBatch() alone. PvKernel::Scalar
+ * keeps its untouched per-lane findMpp(PvArray) call sequence as the
+ * always-built parity oracle the AVX2 lanes are tested against; the
+ * controller pins a uniform array through PreparedArray under either
+ * kernel.
  *
  * Determinism contract: for a fixed kernel choice, results are a pure
  * function of the inputs -- independent of batch size, lane position
@@ -35,6 +34,7 @@
 #ifndef SOLARCORE_PV_PV_KERNEL_HPP
 #define SOLARCORE_PV_PV_KERNEL_HPP
 
+#include <optional>
 #include <span>
 #include <string_view>
 
@@ -45,23 +45,26 @@ namespace solarcore::pv {
 /** The selectable batch-kernel implementations. */
 enum class PvKernel
 {
-    Scalar = 0,  //!< legacy per-call scalar path (parity oracle)
-    Portable,    //!< SoA lane loop, baseline ISA
+    Scalar = 0,  //!< legacy per-lane findMpp path (parity oracle)
     Avx2,        //!< explicit AVX2+FMA lanes (x86-64 with CPUID support)
 };
 
-/** Kernel token: "scalar", "portable" or "avx2". */
+/** Kernel token: "scalar" or "avx2". */
 const char *pvKernelName(PvKernel kernel);
-
-/** Parse a kernel token; returns false on an unknown token ("auto"
- *  is not a kernel -- resolve it with detectPvKernel()). */
-bool pvKernelFromToken(std::string_view token, PvKernel &out);
 
 /** Best kernel this binary + machine can run (the "auto" choice). */
 PvKernel detectPvKernel();
 
 /** True when @p kernel was compiled in and the CPU can execute it. */
 bool pvKernelSupported(PvKernel kernel);
+
+/**
+ * Resolve a --pv-kernel token: "auto" gives detectPvKernel(), a
+ * kernel name gives that kernel when pvKernelSupported() holds.
+ * Empty for an unknown token or a kernel this binary + machine
+ * cannot run.
+ */
+std::optional<PvKernel> resolvePvKernel(std::string_view token);
 
 /**
  * Select the process-global kernel. Asserts the kernel is supported.
@@ -72,22 +75,6 @@ void setPvKernel(PvKernel kernel);
 
 /** The active kernel; resolves to detectPvKernel() until set. */
 PvKernel selectedPvKernel();
-
-/** One lane of a batched I-V evaluation. */
-struct IvOut
-{
-    double current = 0.0; //!< I(v) [A], same sign convention as currentAt
-    double slope = 0.0;   //!< dI/dV [A/V], always <= 0
-};
-
-/**
- * Batched cell-level I-V evaluation: out[k] = {I, dI/dV} of @p cell at
- * terminal voltage v[k] under envs[k]. Lanes are independent; dark
- * (G <= 0) and Rs = 0 lanes fall back to the exact scalar formulas so
- * special-case parity is bitwise. All spans must have equal length.
- */
-void evalIv(const SolarCell &cell, std::span<const Environment> envs,
-            std::span<const double> v, std::span<IvOut> out);
 
 /**
  * Batched array-level MPP solve: out[k] = MPP of the uniform

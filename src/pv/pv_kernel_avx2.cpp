@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX2+FMA instantiation of the batched PV lane kernels.
+ * AVX2+FMA instantiation of the batched MPP lane kernel.
  *
  * This translation unit is the only one compiled with -mavx2 -mfma
  * (see src/pv/CMakeLists.txt); it must stay free of code that could be
@@ -9,8 +9,9 @@
  * and OS ymm-state support.
  *
  * The backend maps the Vec concept onto 4-wide double vectors: GCC/
- * Clang vector-extension arithmetic on __m256d (which the compilers
- * contract into FMA under -mfma), blendv for masked selects, and the
+ * Clang vector-extension arithmetic on __m256d (never contracted: the
+ * TU builds with -ffp-contract=off and mulAdd spells every FMA),
+ * blendv for masked selects, and the
  * 64-bit integer lanes of AVX2 for the exponent splice / mantissa
  * decomposition that vExp / vLog are built on.
  */
@@ -109,14 +110,6 @@ struct VecAvx2
 };
 
 } // namespace
-
-void
-evalIvBatchAvx2(const CellConsts &c, const double *g, const double *t,
-                const double *v, std::size_t n, double *i_out,
-                double *di_out)
-{
-    evalIvBatchImpl<VecAvx2>(c, g, t, v, n, i_out, di_out);
-}
 
 void
 mppBatchAvx2(const CellConsts &c, const double *g, const double *t,

@@ -1,17 +1,12 @@
 /**
  * @file
- * Lane-level implementation of the batched PV kernels.
+ * Lane-level implementation of the batched MPP kernel.
  *
- * Everything here is a header-only template over a small vector
- * backend `V` so the portable and AVX2 translation units compile the
- * *same* math at different widths:
- *
- *   - VecScalar (below): Reg = double, width 1. The lane loop becomes
- *     straight-line arithmetic + integer bit manipulation with no libm
- *     calls, which is exactly the shape compilers can autovectorize
- *     for whatever ISA the baseline build targets (SSE2, NEON, ...).
- *   - VecAvx2 (pv_kernel_avx2.cpp): Reg = __m256d, width 4, compiled
- *     with -mavx2 -mfma in its own TU behind runtime CPUID dispatch.
+ * The math is a header-only template over a small vector backend `V`
+ * (VecAvx2 in pv_kernel_avx2.cpp: Reg = __m256d, width 4, compiled
+ * with -mavx2 -mfma in its own TU behind runtime CPUID dispatch), so
+ * the solver reads as scalar algebra while the backend owns every
+ * intrinsic.
  *
  * The transcendentals are implemented on the backend primitives:
  * exp via the Cephes-style rational on the reduced argument with a
@@ -35,9 +30,7 @@
 #ifndef SOLARCORE_PV_PV_KERNEL_DETAIL_HPP
 #define SOLARCORE_PV_PV_KERNEL_DETAIL_HPP
 
-#include <cmath>
-#include <cstdint>
-#include <cstring>
+#include <cstddef>
 
 #include "pv/cell.hpp"
 
@@ -57,70 +50,7 @@ struct CellConsts
     static CellConsts from(const SolarCell &cell);
 };
 
-/** Scalar backend: one lane, plain double arithmetic. */
-struct VecScalar
-{
-    static constexpr int width = 1;
-    using Reg = double;
-    using Mask = bool;
-
-    static Reg bcast(double x) { return x; }
-    static Reg load(const double *p) { return *p; }
-    static void store(double *p, Reg x) { *p = x; }
-    static Reg min(Reg a, Reg b) { return a < b ? a : b; }
-    static Reg max(Reg a, Reg b) { return a > b ? a : b; }
-    static Mask cmpGt(Reg a, Reg b) { return a > b; }
-    static Mask cmpLe(Reg a, Reg b) { return a <= b; }
-    static Mask cmpGe(Reg a, Reg b) { return a >= b; }
-    static Mask maskOr(Mask a, Mask b) { return a || b; }
-    static Reg select(Mask m, Reg a, Reg b) { return m ? a : b; }
-
-    /**
-     * a * b + c. Deliberately NOT std::fma here: both kernel TUs build
-     * with -ffp-contract=off, so this is a plain mul + add everywhere
-     * a lane can be evaluated, keeping results independent of batch
-     * position. The AVX2 backend overrides it with a true fused
-     * _mm256_fmadd_pd -- also position-independent, since it is fused
-     * unconditionally.
-     */
-    static Reg mulAdd(Reg a, Reg b, Reg c) { return a * b + c; }
-
-    static Reg
-    roundNearest(Reg x)
-    {
-        // Round-half-away ties never occur for x = y*log2(e) at the
-        // precision that matters; the +/-0.5 shift keeps this branch-
-        // free and autovectorizable (std::nearbyint would not be).
-        return x >= 0.0 ? std::floor(x + 0.5) : std::ceil(x - 0.5);
-    }
-
-    /** 2^k for integer-valued k in [-1022, 1023], by exponent splice. */
-    static Reg
-    pow2i(Reg k)
-    {
-        const std::int64_t bits =
-            (static_cast<std::int64_t>(k) + 1023) << 52;
-        Reg r;
-        std::memcpy(&r, &bits, sizeof(r));
-        return r;
-    }
-
-    /** Decompose finite x > 0 as m * 2^e with m in [1, 2). */
-    static void
-    frexpParts(Reg x, Reg *m, Reg *e)
-    {
-        std::uint64_t bits;
-        std::memcpy(&bits, &x, sizeof(bits));
-        const std::int64_t raw_exp =
-            static_cast<std::int64_t>((bits >> 52) & 0x7ff);
-        *e = static_cast<double>(raw_exp - 1023);
-        const std::uint64_t mant_bits =
-            (bits & 0x000fffffffffffffULL) | 0x3ff0000000000000ULL;
-        std::memcpy(m, &mant_bits, sizeof(*m));
-    }
-};
-
-// --- shared transcendental kernels (templated on the backend) -------
+// --- transcendental kernels (templated on the backend) --------------
 
 /**
  * exp(x) for x in [-700, 700] (clamped), ~1 ulp: Cephes rational on
@@ -277,26 +207,6 @@ prepareEnv(const CellConsts &c, typename V::Reg g, typename V::Reg t)
 }
 
 /**
- * One lane group of the batched I-V evaluation (light lanes, Rs > 0):
- * I = A - (Vt/Rs) W, dI/dV = -W / (Rs (1 + W)), with the Lambert
- * argument carried in log space exactly like the scalar path.
- */
-template <typename V>
-void
-evalIvLanes(const CellConsts &c, typename V::Reg g, typename V::Reg t,
-            typename V::Reg v, typename V::Reg *i_out,
-            typename V::Reg *di_out)
-{
-    using R = typename V::Reg;
-    const EnvLanes<V> env = prepareEnv<V>(c, g, t);
-    const R rs = V::bcast(c.rs);
-    const R log_c = vLog<V>(env.i0 * rs / env.vt) + env.a * rs / env.vt;
-    const R w = vW0exp<V>(log_c + v / env.vt);
-    *i_out = env.a - w * env.vt / rs;
-    *di_out = V::bcast(0.0) - w / (rs * (V::bcast(1.0) + w));
-}
-
-/**
  * One lane group of the batched cell MPP solve (light lanes, Rs > 0).
  *
  * Solves the same root as SolarCell::mppVoltage -- g(V) = I + V I' = 0
@@ -373,62 +283,19 @@ mppLanes(const CellConsts &c, typename V::Reg g, typename V::Reg t,
     *i_out = V::max(zero, env.a - s * w);
 }
 
-// --- per-TU batch entry points --------------------------------------
+// --- batch entry point ---------------------------------------------
 //
 // Inputs are SoA lane arrays with every lane sanitized by the dispatch
 // layer: G > 0 and Rs > 0 (dark and Rs = 0 lanes take the exact scalar
-// formulas there and never reach these). Each implementation pads the
+// formulas there and never reach these). The implementation pads the
 // remainder internally, so n may be any length.
 
-void evalIvBatchPortable(const CellConsts &c, const double *g,
-                         const double *t, const double *v, std::size_t n,
-                         double *i_out, double *di_out);
-void mppBatchPortable(const CellConsts &c, const double *g, const double *t,
-                      std::size_t n, double *v_out, double *i_out);
-
 #ifdef SOLARCORE_HAVE_AVX2
-void evalIvBatchAvx2(const CellConsts &c, const double *g, const double *t,
-                     const double *v, std::size_t n, double *i_out,
-                     double *di_out);
 void mppBatchAvx2(const CellConsts &c, const double *g, const double *t,
                   std::size_t n, double *v_out, double *i_out);
 #endif
 
-/** Shared lane-loop driver: pads the tail to a full lane group. */
-template <typename V>
-void
-evalIvBatchImpl(const CellConsts &c, const double *g, const double *t,
-                const double *v, std::size_t n, double *i_out,
-                double *di_out)
-{
-    constexpr std::size_t W = static_cast<std::size_t>(V::width);
-    std::size_t k = 0;
-    for (; k + W <= n; k += W) {
-        typename V::Reg iv, di;
-        evalIvLanes<V>(c, V::load(g + k), V::load(t + k), V::load(v + k),
-                       &iv, &di);
-        V::store(i_out + k, iv);
-        V::store(di_out + k, di);
-    }
-    if (k < n) {
-        double gp[W], tp[W], vp[W], ip[W], dp[W];
-        for (std::size_t j = 0; j < W; ++j) {
-            const std::size_t src = k + j < n ? k + j : n - 1;
-            gp[j] = g[src];
-            tp[j] = t[src];
-            vp[j] = v[src];
-        }
-        typename V::Reg iv, di;
-        evalIvLanes<V>(c, V::load(gp), V::load(tp), V::load(vp), &iv, &di);
-        V::store(ip, iv);
-        V::store(dp, di);
-        for (std::size_t j = 0; k + j < n; ++j) {
-            i_out[k + j] = ip[j];
-            di_out[k + j] = dp[j];
-        }
-    }
-}
-
+/** Lane-loop driver: pads the tail to a full lane group. */
 template <typename V>
 void
 mppBatchImpl(const CellConsts &c, const double *g, const double *t,

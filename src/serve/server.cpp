@@ -152,22 +152,14 @@ Server::start()
     // Resolve the PV kernel exactly like runCampaign: "auto" picks the
     // best supported kernel, and the *resolved* name feeds every cache
     // key so answers are never mixed across kernels.
-    pv::PvKernel kernel = pv::detectPvKernel();
-    if (config_.pvKernel != "auto") {
-        pv::PvKernel requested;
-        if (!pv::pvKernelFromToken(config_.pvKernel, requested)) {
-            SC_WARN("serve: unknown pv kernel '", config_.pvKernel, "'");
-            return false;
-        }
-        if (!pv::pvKernelSupported(requested)) {
-            SC_WARN("serve: pv kernel '", config_.pvKernel,
-                    "' not supported on this cpu");
-            return false;
-        }
-        kernel = requested;
+    const auto kernel = pv::resolvePvKernel(config_.pvKernel);
+    if (!kernel) {
+        SC_WARN("serve: pv kernel '", config_.pvKernel,
+                "' unknown or not supported on this cpu");
+        return false;
     }
-    pv::setPvKernel(kernel);
-    resolvedKernel_ = pv::pvKernelName(kernel);
+    pv::setPvKernel(*kernel);
+    resolvedKernel_ = pv::pvKernelName(*kernel);
 
     if (!config_.unitCacheDir.empty()) {
         // Same salt as a campaign run with --audit=off, so the two

@@ -78,7 +78,7 @@ struct ServeConfig
     std::size_t maxUnitsPerQuery = 4096; //!< grid-size cap per query
     std::string unitCacheDir;      //!< persistent unit cache; "" off
     std::size_t unitCacheCap = 4096; //!< unit-cache LRU cap [files]
-    std::string pvKernel = "auto"; //!< "auto"/"scalar"/"portable"/"avx2"
+    std::string pvKernel = "auto"; //!< "auto"/"scalar"/"avx2"
     /**
      * Seed of the per-unit service-time estimate [us] used by the
      * ShedDeadline admission test. 0 starts with no estimate (the
@@ -192,7 +192,7 @@ class Server
 
     bool running() const { return running_.load(); }
 
-    /** The resolved PV kernel name ("scalar"/"portable"/"avx2"). */
+    /** The resolved PV kernel name ("scalar"/"avx2"). */
     const std::string &resolvedKernel() const { return resolvedKernel_; }
 
     /** The bound /metrics port (0 when not serving HTTP). */

@@ -1,15 +1,17 @@
 /**
  * @file
- * Parity, determinism and routing tests for the batched SoA PV kernels
- * (pv/pv_kernel.hpp) against the per-call scalar path, which this PR
- * keeps untouched as the always-built parity oracle.
+ * Parity, determinism and routing tests for the batched SoA MPP kernel
+ * (pv/pv_kernel.hpp) against the per-lane scalar path, kept untouched
+ * as the always-built parity oracle.
  *
- * The numeric contract: the batch kernels agree with the scalar
+ * The numeric contract: the batch kernel agrees with the scalar
  * Lambert-W path to ~1e-12 relative (far inside the golden-baseline
  * tolerances), dark lanes and Rs = 0 cells route through the *exact*
  * scalar formulas (bitwise), and lane math is elementwise with fixed
  * iteration counts, so results are bitwise independent of batch size,
- * lane position and tail padding.
+ * lane position and tail padding. On a machine without AVX2 the
+ * dispatched kernel is the Scalar oracle itself, and every comparison
+ * below holds trivially.
  */
 
 #include <algorithm>
@@ -37,16 +39,6 @@ struct KernelGuard
     PvKernel saved = selectedPvKernel();
     ~KernelGuard() { setPvKernel(saved); }
 };
-
-/** Batch (not Scalar) kernels available on the running machine. */
-std::vector<PvKernel>
-batchKernels()
-{
-    std::vector<PvKernel> kernels = {PvKernel::Portable};
-    if (pvKernelSupported(PvKernel::Avx2))
-        kernels.push_back(PvKernel::Avx2);
-    return kernels;
-}
 
 const PvModule &
 testModule()
@@ -89,89 +81,22 @@ near(double a, double b, double rtol, double atol)
 
 TEST(PvKernel, TokensRoundTripAndDetectIsSupported)
 {
-    for (PvKernel k :
-         {PvKernel::Scalar, PvKernel::Portable, PvKernel::Avx2}) {
-        PvKernel parsed;
-        ASSERT_TRUE(pvKernelFromToken(pvKernelName(k), parsed));
-        EXPECT_EQ(parsed, k);
+    for (PvKernel k : {PvKernel::Scalar, PvKernel::Avx2}) {
+        if (pvKernelSupported(k)) {
+            EXPECT_EQ(resolvePvKernel(pvKernelName(k)), k);
+        }
     }
-    PvKernel parsed;
-    EXPECT_FALSE(pvKernelFromToken("auto", parsed));
-    EXPECT_FALSE(pvKernelFromToken("sse9", parsed));
     EXPECT_TRUE(pvKernelSupported(detectPvKernel()));
 }
 
-TEST(PvKernel, EvalIvScalarKernelIsBitIdenticalToCellCalls)
+TEST(PvKernel, ResolverAcceptsAutoAndSupportedKernelsOnly)
 {
-    KernelGuard guard;
-    setPvKernel(PvKernel::Scalar);
-    const SolarCell &cell = testModule().cell();
-
-    const auto envs = envGrid();
-    std::vector<double> volts;
-    for (std::size_t k = 0; k < envs.size(); ++k)
-        volts.push_back(0.1 * static_cast<double>(k % 7));
-    std::vector<IvOut> out(envs.size());
-    evalIv(cell, envs, volts, out);
-    for (std::size_t k = 0; k < envs.size(); ++k) {
-        EXPECT_EQ(out[k].current, cell.currentAt(volts[k], envs[k]));
-        EXPECT_EQ(out[k].slope, cell.currentSlopeAt(volts[k], envs[k]));
-    }
-}
-
-TEST(PvKernel, EvalIvMatchesScalarAcrossGrid)
-{
-    KernelGuard guard;
-    const SolarCell &cell = testModule().cell();
-    const auto envs = envGrid();
-
-    for (PvKernel kernel : batchKernels()) {
-        setPvKernel(kernel);
-        for (const auto &env : envs) {
-            const double voc = cell.openCircuitVoltage(env);
-            for (double frac : {0.0, 0.3, 0.6, 0.85, 0.95, 1.0}) {
-                const double v = frac * std::max(voc, 0.4);
-                const Environment es[1] = {env};
-                const double vs[1] = {v};
-                IvOut out[1];
-                evalIv(cell, es, vs, out);
-                const double i_ref = cell.currentAt(v, env);
-                const double di_ref = cell.currentSlopeAt(v, env);
-                if (env.irradiance <= 0.0) {
-                    // Dark lanes take the exact scalar formula.
-                    EXPECT_EQ(out[0].current, i_ref);
-                    EXPECT_EQ(out[0].slope, di_ref);
-                } else {
-                    EXPECT_TRUE(near(out[0].current, i_ref, 1e-9, 1e-12))
-                        << pvKernelName(kernel) << " G=" << env.irradiance
-                        << " T=" << env.cellTempC << " v=" << v;
-                    EXPECT_TRUE(near(out[0].slope, di_ref, 1e-9, 1e-12))
-                        << pvKernelName(kernel) << " G=" << env.irradiance
-                        << " T=" << env.cellTempC << " v=" << v;
-                }
-            }
-        }
-    }
-}
-
-TEST(PvKernel, EvalIvRsZeroRoutesToExactScalarFormula)
-{
-    KernelGuard guard;
-    CellParams p;
-    p.seriesRes = 0.0;
-    const SolarCell cell(p);
-    const Environment env{850.0, 40.0};
-    const double v = 0.4;
-
-    for (PvKernel kernel : batchKernels()) {
-        setPvKernel(kernel);
-        const Environment es[1] = {env};
-        const double vs[1] = {v};
-        IvOut out[1];
-        evalIv(cell, es, vs, out);
-        EXPECT_EQ(out[0].current, cell.currentAt(v, env));
-        EXPECT_EQ(out[0].slope, cell.currentSlopeAt(v, env));
-    }
+    EXPECT_EQ(resolvePvKernel("auto"), detectPvKernel());
+    EXPECT_EQ(resolvePvKernel("scalar"), PvKernel::Scalar);
+    EXPECT_EQ(resolvePvKernel("avx2").has_value(),
+              pvKernelSupported(PvKernel::Avx2));
+    for (const char *bad : {"portable", "sse9", "", "AVX2"})
+        EXPECT_FALSE(resolvePvKernel(bad).has_value()) << bad;
 }
 
 TEST(PvKernel, FindMppBatchMatchesScalarOracleAcrossGrid)
@@ -186,24 +111,20 @@ TEST(PvKernel, FindMppBatchMatchesScalarOracleAcrossGrid)
         oracle.push_back(findMpp(array));
     }
 
-    for (PvKernel kernel : batchKernels()) {
-        setPvKernel(kernel);
-        std::vector<MppResult> got(envs.size());
-        findMppBatch(testModule(), 2, 3, envs, got);
-        for (std::size_t k = 0; k < envs.size(); ++k) {
-            if (envs[k].irradiance <= 0.0) {
-                EXPECT_EQ(got[k].power, 0.0);
-                EXPECT_EQ(got[k].current, 0.0);
-                continue;
-            }
-            EXPECT_TRUE(near(got[k].voltage, oracle[k].voltage, 1e-9,
-                             1e-12))
-                << pvKernelName(kernel) << " G=" << envs[k].irradiance
-                << " T=" << envs[k].cellTempC;
-            EXPECT_TRUE(
-                near(got[k].current, oracle[k].current, 1e-9, 1e-12));
-            EXPECT_TRUE(near(got[k].power, oracle[k].power, 1e-9, 1e-12));
+    setPvKernel(detectPvKernel());
+    std::vector<MppResult> got(envs.size());
+    findMppBatch(testModule(), 2, 3, envs, got);
+    for (std::size_t k = 0; k < envs.size(); ++k) {
+        if (envs[k].irradiance <= 0.0) {
+            EXPECT_EQ(got[k].power, 0.0);
+            EXPECT_EQ(got[k].current, 0.0);
+            continue;
         }
+        EXPECT_TRUE(near(got[k].voltage, oracle[k].voltage, 1e-9, 1e-12))
+            << pvKernelName(detectPvKernel())
+            << " G=" << envs[k].irradiance << " T=" << envs[k].cellTempC;
+        EXPECT_TRUE(near(got[k].current, oracle[k].current, 1e-9, 1e-12));
+        EXPECT_TRUE(near(got[k].power, oracle[k].power, 1e-9, 1e-12));
     }
 
     // The Scalar kernel and the Newton oracle send every lane, dark
@@ -223,7 +144,7 @@ TEST(PvKernel, FindMppBatchMatchesScalarOracleAcrossGrid)
     setPvKernel(PvKernel::Scalar);
     expect_bitwise(oracle, "scalar");
 
-    setPvKernel(PvKernel::Portable);
+    setPvKernel(detectPvKernel());
     setNewtonIvSolve(true);
     std::vector<MppResult> newton;
     for (const auto &env : envs) {
@@ -237,59 +158,37 @@ TEST(PvKernel, FindMppBatchMatchesScalarOracleAcrossGrid)
 TEST(PvKernel, BatchResultsIndependentOfBatchSize)
 {
     KernelGuard guard;
+    setPvKernel(detectPvKernel());
     // 17 lanes: exercises every remainder class of the 4-wide AVX2
     // groups and the 128-lane chunking is untouched.
     std::vector<Environment> envs;
     for (int k = 0; k < 17; ++k)
         envs.push_back({40.0 + 60.0 * k, -5.0 + 4.5 * k});
 
-    for (PvKernel kernel : batchKernels()) {
-        setPvKernel(kernel);
-        std::vector<MppResult> whole(envs.size());
-        findMppBatch(testModule(), 1, 1, envs, whole);
+    std::vector<MppResult> whole(envs.size());
+    findMppBatch(testModule(), 1, 1, envs, whole);
 
-        for (std::size_t chunk : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{3}, std::size_t{5},
-                                  std::size_t{8}, std::size_t{16}}) {
-            std::vector<MppResult> pieces(envs.size());
-            for (std::size_t base = 0; base < envs.size(); base += chunk) {
-                const std::size_t m =
-                    std::min(chunk, envs.size() - base);
-                findMppBatch(testModule(), 1, 1,
-                             std::span(envs).subspan(base, m),
-                             std::span(pieces).subspan(base, m));
-            }
-            for (std::size_t k = 0; k < envs.size(); ++k) {
-                EXPECT_EQ(pieces[k].voltage, whole[k].voltage)
-                    << pvKernelName(kernel) << " chunk=" << chunk
-                    << " lane=" << k;
-                EXPECT_EQ(pieces[k].current, whole[k].current);
-            }
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{2},
+                              std::size_t{3}, std::size_t{5},
+                              std::size_t{8}, std::size_t{16}}) {
+        std::vector<MppResult> pieces(envs.size());
+        for (std::size_t base = 0; base < envs.size(); base += chunk) {
+            const std::size_t m = std::min(chunk, envs.size() - base);
+            findMppBatch(testModule(), 1, 1,
+                         std::span(envs).subspan(base, m),
+                         std::span(pieces).subspan(base, m));
         }
-
-        // The same property for the I-V evaluation, odd tail included.
-        std::vector<double> volts(envs.size(), 0.45);
-        std::vector<IvOut> whole_iv(envs.size());
-        evalIv(testModule().cell(), envs, volts, whole_iv);
-        std::vector<IvOut> one(1);
         for (std::size_t k = 0; k < envs.size(); ++k) {
-            evalIv(testModule().cell(),
-                   std::span(envs).subspan(k, 1),
-                   std::span(volts).subspan(k, 1), one);
-            EXPECT_EQ(one[0].current, whole_iv[k].current)
-                << pvKernelName(kernel) << " lane=" << k << " "
-                << std::hexfloat << one[0].current << " vs "
-                << whole_iv[k].current << std::defaultfloat;
-            EXPECT_EQ(one[0].slope, whole_iv[k].slope)
-                << pvKernelName(kernel) << " lane=" << k;
+            EXPECT_EQ(pieces[k].voltage, whole[k].voltage)
+                << pvKernelName(detectPvKernel()) << " chunk=" << chunk
+                << " lane=" << k;
+            EXPECT_EQ(pieces[k].current, whole[k].current);
         }
     }
 }
 
 TEST(PvKernel, PreparedArrayMatchesPvArray)
 {
-    KernelGuard guard;
-    setPvKernel(PvKernel::Portable);
     PvArray array(testModule(), 2, 2, kStc);
     PreparedArray prepared(testModule(), 2, 2);
 
@@ -317,8 +216,6 @@ TEST(PvKernel, PreparedArrayMatchesPvArray)
 
 TEST(PvKernel, PinRailPreparedMatchesLegacyPin)
 {
-    KernelGuard guard;
-    setPvKernel(PvKernel::Portable);
     PvArray array(testModule(), 1, 1, kStc);
     PreparedArray prepared(testModule(), 1, 1);
 
@@ -353,30 +250,45 @@ TEST(PvKernel, PinRailPreparedMatchesLegacyPin)
 
 TEST(PvKernel, ShadedStringKeepsTheLegacyControllerPath)
 {
-    // A non-uniform source can never take the PreparedArray fast path
-    // (partial shading breaks the single-diode closed form), so a
-    // controller driving a ShadedString must behave bitwise the same
-    // under every kernel selection.
+    // The controller's rail pin depends on the panel alone: a
+    // non-uniform ShadedString takes the legacy pin (partial shading
+    // breaks the single-diode closed form) and a uniform PvArray the
+    // PreparedArray pin, whatever the kernel. So a controller on either
+    // panel must behave bitwise the same under every kernel selection,
+    // through a tracking event and through a rail enforcement after
+    // the light drops.
     KernelGuard guard;
-    const std::vector<Environment> conditions = {{900.0, 45.0},
-                                                 {250.0, 38.0}};
-    auto run = [&](PvKernel kernel) {
+    using Outcome = std::tuple<bool, double, double, double, double>;
+    auto run = [&](PvKernel kernel, bool shaded) {
         setPvKernel(kernel);
-        ShadedString panel(testModule(), conditions);
+        ShadedString shaded_string(testModule(),
+                                   {{900.0, 45.0}, {250.0, 38.0}});
+        PvArray array(testModule(), 2, 1, {900.0, 45.0});
+        const IvSource &panel =
+            shaded ? static_cast<const IvSource &>(shaded_string) : array;
         cpu::MultiCoreChip chip{
             cpu::defaultChipConfig(), cpu::DvfsTable::paperDefault(),
             cpu::EnergyParams{},
             workload::workloadSet(workload::WorkloadId::HM2), 42};
         core::TprOptAdapter adapter;
         core::SolarCoreController ctl(panel, chip, adapter);
-        const auto res = ctl.track();
-        return std::tuple(res.solarViable, res.net.panel.voltage,
-                          res.net.panel.current, chip.totalPower());
+        auto outcome = [&](const core::TrackResult &res) {
+            return Outcome(res.solarViable, res.net.panel.voltage,
+                           res.net.panel.current, ctl.converter().ratio(),
+                           chip.totalPower());
+        };
+        const Outcome tracked = outcome(ctl.track());
+        shaded_string.setEnvironment(0, {420.0, 40.0});
+        array.setEnvironment({420.0, 40.0});
+        return std::pair(tracked, outcome(ctl.enforceRail()));
     };
 
-    const auto scalar = run(PvKernel::Scalar);
-    for (PvKernel kernel : batchKernels())
-        EXPECT_EQ(run(kernel), scalar) << pvKernelName(kernel);
+    for (bool shaded : {true, false}) {
+        const auto scalar = run(PvKernel::Scalar, shaded);
+        EXPECT_EQ(run(detectPvKernel(), shaded), scalar)
+            << pvKernelName(detectPvKernel())
+            << (shaded ? " shaded string" : " uniform array");
+    }
 }
 
 } // namespace

@@ -342,31 +342,31 @@ TEST(ServeProtocol, MutatedValidFramesNeverCrash)
 TEST(ServeProtocol, KeyMaterialSeparatesAnswerInputs)
 {
     const auto base = sampleQuery();
-    const std::string k0 = queryKeyMaterial(base, "portable");
+    const std::string k0 = queryKeyMaterial(base, "scalar");
 
     // Identical query -> identical material (the cache identity).
-    EXPECT_EQ(queryKeyMaterial(sampleQuery(), "portable"), k0);
+    EXPECT_EQ(queryKeyMaterial(sampleQuery(), "scalar"), k0);
 
     // Every answer-changing input must separate the key.
     {
         PlanQuery q = base;
         q.nodesPerUnit += 1;
-        EXPECT_NE(queryKeyMaterial(q, "portable"), k0);
+        EXPECT_NE(queryKeyMaterial(q, "scalar"), k0);
     }
     {
         PlanQuery q = base;
         q.econ.gridUsdPerKwh = 0.2;
-        EXPECT_NE(queryKeyMaterial(q, "portable"), k0);
+        EXPECT_NE(queryKeyMaterial(q, "scalar"), k0);
     }
     {
         PlanQuery q = base;
         q.grid.seeds.push_back(7);
-        EXPECT_NE(queryKeyMaterial(q, "portable"), k0);
+        EXPECT_NE(queryKeyMaterial(q, "scalar"), k0);
     }
     {
         PlanQuery q = base;
         q.grid.dtSeconds = 60.0;
-        EXPECT_NE(queryKeyMaterial(q, "portable"), k0);
+        EXPECT_NE(queryKeyMaterial(q, "scalar"), k0);
     }
     EXPECT_NE(queryKeyMaterial(base, "avx2"), k0);
 
@@ -376,7 +376,7 @@ TEST(ServeProtocol, KeyMaterialSeparatesAnswerInputs)
         PlanQuery q = base;
         q.requestId += 99;
         q.deadlineMillis += 99;
-        EXPECT_EQ(queryKeyMaterial(q, "portable"), k0);
+        EXPECT_EQ(queryKeyMaterial(q, "scalar"), k0);
     }
 }
 
@@ -482,9 +482,9 @@ TEST(ServeProtocol, TraceIdExcludedFromKeyMaterial)
     // The trace id annotates the request; it must never separate the
     // answer-cache key, or traced queries would always miss.
     PlanQuery q = sampleQuery();
-    const std::string k0 = queryKeyMaterial(q, "portable");
+    const std::string k0 = queryKeyMaterial(q, "scalar");
     q.traceId = 0xdeadbeefull;
-    EXPECT_EQ(queryKeyMaterial(q, "portable"), k0);
+    EXPECT_EQ(queryKeyMaterial(q, "scalar"), k0);
 }
 
 TEST(ServeProtocol, StatusNamesAreStable)

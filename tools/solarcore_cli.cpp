@@ -16,7 +16,7 @@
  *          --workload H1..ML2   --policy opt|rr|ic|icm|fixed
  *          --budget <W>         --seed <n>   --days <n>
  *          --dt <seconds>       --threshold <W>
- *          --pv-kernel auto|scalar|portable|avx2 (batch PV kernel)
+ *          --pv-kernel auto|scalar|avx2 (batch MPP kernel)
  *
  * Observability (see src/obs/): --stats-out=FILE --trace-out=FILE
  * --trace-buffer=N --manifest-out=FILE --telemetry-out=FILE
@@ -38,11 +38,14 @@
  * runs an audited, instrumented default day.
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "core/aggregate.hpp"
 #include "core/solarcore.hpp"
@@ -74,7 +77,7 @@ struct Options
     int days = 5;
     double dtSeconds = 15.0;
     double thresholdW = 25.0;
-    std::string pvKernel = "auto";
+    pv::PvKernel pvKernel = pv::detectPvKernel();
     obs::ObsOptions obs;
     obs::StatsRegistry *stats = nullptr; //!< set by main when requested
     obs::TraceBuffer *trace = nullptr;   //!< set by main when requested
@@ -83,8 +86,10 @@ struct Options
 };
 
 [[noreturn]] void
-usage()
+usage(const char *complaint = nullptr)
 {
+    if (complaint)
+        std::cerr << "solarcore_cli: " << complaint << "\n";
     std::cerr
         << "usage: solarcore_cli <summary|timeline|trace|sweep> "
            "[options]\n"
@@ -92,7 +97,7 @@ usage()
            "  --workload H1|H2|M1|M2|L1|L2|HM1|HM2|ML1|ML2\n"
            "  --policy opt|rr|ic|icm|fixed  --budget <W> (fixed policy)\n"
            "  --seed <n>  --days <n> (sweep)  --dt <s>  --threshold <W>\n"
-           "  --pv-kernel auto|scalar|portable|avx2\n"
+           "  --pv-kernel auto|scalar|avx2\n"
            "  --stats-out=FILE (.json|.csv)  --trace-out=FILE (Chrome "
            "JSON, or JSONL for .jsonl)\n"
            "  --trace-buffer=<events>  --manifest-out=FILE\n"
@@ -103,6 +108,22 @@ usage()
            "  --metrics-out=FILE  --metrics-port=N  "
            "--postmortem-out=FILE.json\n";
     std::exit(2);
+}
+
+/** Parse the whole of @p value as a finite T, or exit via usage(). */
+template <typename T>
+T
+parseNumber(const std::string &flag, const std::string &value)
+{
+    T v{};
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    bool ok = ec == std::errc() && ptr == end;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(v);
+    if (!ok)
+        usage(("bad value for " + flag).c_str());
+    return v;
 }
 
 Options
@@ -177,20 +198,30 @@ parse(int argc, char **argv)
             else
                 usage();
         } else if (key == "--budget") {
-            opt.budgetW = std::stod(val);
+            opt.budgetW = parseNumber<double>(key, val);
+            if (opt.budgetW < 0.0)
+                usage("--budget must be >= 0");
         } else if (key == "--seed") {
-            opt.seed = std::stoull(val);
+            // Unsigned parse: a leading '-' is rejected, not wrapped.
+            opt.seed = parseNumber<std::uint64_t>(key, val);
         } else if (key == "--days") {
-            opt.days = std::stoi(val);
+            opt.days = parseNumber<int>(key, val);
+            if (opt.days < 1)
+                usage("--days must be >= 1");
         } else if (key == "--dt") {
-            opt.dtSeconds = std::stod(val);
+            opt.dtSeconds = parseNumber<double>(key, val);
+            if (opt.dtSeconds <= 0.0)
+                usage("--dt must be positive");
         } else if (key == "--threshold") {
-            opt.thresholdW = std::stod(val);
+            opt.thresholdW = parseNumber<double>(key, val);
+            if (opt.thresholdW < 0.0)
+                usage("--threshold must be >= 0");
         } else if (key == "--pv-kernel") {
-            pv::PvKernel parsed;
-            if (val != "auto" && !pv::pvKernelFromToken(val, parsed))
-                usage();
-            opt.pvKernel = val;
+            const auto kernel = pv::resolvePvKernel(val);
+            if (!kernel)
+                usage("unknown --pv-kernel, or not supported on this "
+                      "cpu");
+            opt.pvKernel = *kernel;
         } else {
             usage();
         }
@@ -299,21 +330,7 @@ int
 main(int argc, char **argv)
 {
     Options opt = parse(argc, argv);
-
-    // Pin the batch PV kernel for the whole process; "auto" lets the
-    // runtime dispatch pick the widest supported one.
-    if (opt.pvKernel == "auto") {
-        pv::setPvKernel(pv::detectPvKernel());
-    } else {
-        pv::PvKernel requested;
-        if (!pv::pvKernelFromToken(opt.pvKernel, requested) ||
-            !pv::pvKernelSupported(requested)) {
-            std::cerr << "solarcore_cli: pv kernel '" << opt.pvKernel
-                      << "' not supported on this cpu\n";
-            return 2;
-        }
-        pv::setPvKernel(requested);
-    }
+    pv::setPvKernel(opt.pvKernel);
 
     obs::RunManifest manifest(argc, argv);
     std::optional<obs::StatsRegistry> stats;
