@@ -1,5 +1,6 @@
 #include "scenario.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "util/logging.hpp"
@@ -122,6 +123,26 @@ unitKey(const ScenarioUnit &unit)
     key += "-s";
     key += std::to_string(unit.seed);
     return key;
+}
+
+std::string
+validateGrid(const ScenarioGrid &grid)
+{
+    if (grid.sites.empty() || grid.months.empty() ||
+        grid.policies.empty() || grid.workloads.empty() ||
+        grid.seeds.empty())
+        return "empty scenario axis";
+    if (!std::isfinite(grid.dtSeconds) || grid.dtSeconds <= 0.0)
+        return "dtSeconds must be positive and finite";
+    if (!std::isfinite(grid.fixedBudgetW) || grid.fixedBudgetW <= 0.0)
+        return "fixedBudgetW must be positive and finite";
+    if (!std::isfinite(grid.batteryDerating) ||
+        grid.batteryDerating <= 0.0 || grid.batteryDerating > 1.0)
+        return "batteryDerating must be in (0, 1]";
+    if (!std::isfinite(grid.trackingPeriodMinutes) ||
+        grid.trackingPeriodMinutes <= 0.0)
+        return "trackingPeriodMinutes must be positive and finite";
+    return {};
 }
 
 std::string

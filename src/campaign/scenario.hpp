@@ -78,6 +78,15 @@ struct ScenarioGrid
     }
 };
 
+/**
+ * Check that @p grid can run: no axis empty; dtSeconds, fixedBudgetW
+ * and trackingPeriodMinutes positive and finite; batteryDerating in
+ * (0, 1]. The daemon and the campaign CLI both refuse a grid that
+ * fails, before a unit runs.
+ * @return empty when the grid can run, else what is wrong with it
+ */
+std::string validateGrid(const ScenarioGrid &grid);
+
 /** One expanded work unit (a single simulated day). */
 struct ScenarioUnit
 {

@@ -1,5 +1,6 @@
 #include "fixed_power.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -18,28 +19,58 @@ struct Choice
     double throughput = 0.0;
 };
 
-std::vector<Choice>
-coreChoices(const cpu::MultiCoreChip &chip, int index)
+/** How many choices each core of @p chip has. */
+std::size_t
+choicesPerCore(const cpu::MultiCoreChip &chip)
 {
-    std::vector<Choice> out;
+    return static_cast<std::size_t>(chip.dvfs().numLevels()) +
+        (chip.gatingAllowed() ? 1 : 0);
+}
+
+/**
+ * Every core's choices, core-major: for each core, gated (only when
+ * the chip allows PCPG), then every DVFS level ascending.
+ */
+std::vector<Choice>
+chipChoices(const cpu::MultiCoreChip &chip)
+{
     const auto &table = chip.dvfs();
-    const cpu::Core &c = chip.core(index);
-
-    Choice gated;
-    gated.setting = {table.minLevel(), true};
-    gated.powerW = chip.powerModel().gatedPower().totalW();
-    gated.throughput = 0.0;
-    out.push_back(gated);
-
-    for (int l = table.minLevel(); l <= table.maxLevel(); ++l) {
-        Choice ch;
-        ch.setting = {l, false};
-        ch.powerW = c.powerAtLevel(l);
-        ch.throughput = c.throughputAtLevel(l);
-        out.push_back(ch);
+    std::vector<Choice> out;
+    out.reserve(static_cast<std::size_t>(chip.numCores()) *
+                choicesPerCore(chip));
+    for (int i = 0; i < chip.numCores(); ++i) {
+        const cpu::Core &c = chip.core(i);
+        if (chip.gatingAllowed())
+            out.push_back({{table.minLevel(), true},
+                           chip.powerModel().gatedPower().totalW(),
+                           0.0});
+        for (int l = table.minLevel(); l <= table.maxLevel(); ++l)
+            out.push_back(
+                {{l, false}, c.powerAtLevel(l), c.throughputAtLevel(l)});
     }
     return out;
 }
+
+/**
+ * One state of a core layer's Pareto frontier: the cores processed so
+ * far consume @c units grid units and deliver @c throughput, reached
+ * from state @c from of the previous layer through choice @c choice.
+ */
+struct State
+{
+    int units = 0;
+    int from = -1;
+    int choice = -1;
+    double throughput = 0.0;
+};
+
+/** Best relaxation into one unit cell of the next layer. */
+struct Cell
+{
+    double throughput;
+    int from;
+    int choice;
+};
 
 } // namespace
 
@@ -50,87 +81,102 @@ optimizeAllocation(const cpu::MultiCoreChip &chip, double budget_w,
     SC_ASSERT(power_res_w > 0.0, "optimizeAllocation: bad resolution");
     SC_PROFILE_SCOPE("alloc.optimize");
     AllocationResult res;
-    if (budget_w <= 0.0)
+    if (!(budget_w > 0.0))
+        return res;
+    const double budget_units = std::floor(budget_w / power_res_w);
+    if (budget_units < 1.0)
         return res;
 
     const int n = chip.numCores();
-    const int budget_units =
-        static_cast<int>(std::floor(budget_w / power_res_w));
-    if (budget_units <= 0)
-        return res;
+    const std::size_t k = choicesPerCore(chip);
+    const std::vector<Choice> choices = chipChoices(chip);
+    // Each choice's power in grid units, rounded up so the grid never
+    // under-counts; computed once, not per relaxation.
+    std::vector<int> costs(choices.size());
+    std::vector<int> min_cost(static_cast<std::size_t>(n));
+    std::vector<int> max_cost(static_cast<std::size_t>(n));
+    double reach = 0.0; // units the chip can reach at all
+    for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
+        double bottom = std::numeric_limits<double>::infinity();
+        double top = 0.0;
+        for (std::size_t j = i * k; j < (i + 1) * k; ++j) {
+            const double cost =
+                std::ceil(choices[j].powerW / power_res_w - 1e-12);
+            SC_ASSERT(reach + cost < std::numeric_limits<int>::max(),
+                      "optimizeAllocation: resolution too fine");
+            bottom = std::min(bottom, cost);
+            top = std::max(top, cost);
+            costs[j] = static_cast<int>(cost);
+        }
+        reach += top;
+        min_cost[i] = static_cast<int>(bottom);
+        max_cost[i] = static_cast<int>(top);
+    }
+    // No state costs more than the chip can reach, so a budget beyond
+    // that changes nothing but the scratch size.
+    const int limit = static_cast<int>(std::min(budget_units, reach));
 
     constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-    // dp[u]: best throughput with the cores processed so far consuming
-    // at most u power units; choice[i][u] reconstructs the argmax.
-    std::vector<double> dp(static_cast<std::size_t>(budget_units) + 1,
-                           kNegInf);
-    dp[0] = 0.0;
-    std::vector<std::vector<int>> choice_at(
-        static_cast<std::size_t>(n),
-        std::vector<int>(static_cast<std::size_t>(budget_units) + 1, -1));
-    std::vector<std::vector<Choice>> choices;
-    choices.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-        choices.push_back(coreChoices(chip, i));
-
+    // Layer i of the frontier holds, by ascending units, the states of
+    // cores 0..i-1 whose throughput strictly beats every cheaper
+    // state's. A dominated state can neither lie on the dense DP's
+    // chosen path nor supply the winning value at a state on it (FP
+    // addition is monotone), so relaxing only the frontier -- in the
+    // dense order: ascending units, ascending choice, strict '>' --
+    // reproduces the dense DP bit for bit.
+    std::vector<State> states{State{}};
+    std::vector<Cell> next(static_cast<std::size_t>(limit) + 1,
+                           Cell{kNegInf, -1, -1});
+    std::size_t layer_begin = 0;
     for (int i = 0; i < n; ++i) {
-        std::vector<double> next(dp.size(), kNegInf);
-        for (int u = 0; u <= budget_units; ++u) {
-            if (dp[static_cast<std::size_t>(u)] == kNegInf)
-                continue;
-            for (std::size_t c = 0; c < choices[i].size(); ++c) {
-                const auto &ch = choices[static_cast<std::size_t>(i)][c];
-                // Round power up so the grid never under-counts.
-                const int cost = static_cast<int>(
-                    std::ceil(ch.powerW / power_res_w - 1e-12));
-                const int u2 = u + cost;
-                if (u2 > budget_units)
+        const std::size_t layer_end = states.size();
+        const std::size_t base = static_cast<std::size_t>(i) * k;
+        for (std::size_t s = layer_begin; s < layer_end; ++s) {
+            const State src = states[s];
+            for (std::size_t c = 0; c < k; ++c) {
+                const int u2 = src.units + costs[base + c];
+                if (u2 > limit)
                     continue;
                 const double t =
-                    dp[static_cast<std::size_t>(u)] + ch.throughput;
-                if (t > next[static_cast<std::size_t>(u2)]) {
-                    next[static_cast<std::size_t>(u2)] = t;
-                    choice_at[static_cast<std::size_t>(i)]
-                             [static_cast<std::size_t>(u2)] =
-                                 static_cast<int>(c);
-                }
+                    src.throughput + choices[base + c].throughput;
+                Cell &cell = next[static_cast<std::size_t>(u2)];
+                if (t > cell.throughput)
+                    cell = {t, static_cast<int>(s), static_cast<int>(c)};
             }
         }
-        dp.swap(next);
-    }
-
-    // Best end state.
-    int best_u = -1;
-    double best_t = kNegInf;
-    for (int u = 0; u <= budget_units; ++u) {
-        if (dp[static_cast<std::size_t>(u)] > best_t) {
-            best_t = dp[static_cast<std::size_t>(u)];
-            best_u = u;
+        // Sources ascend in units, so these bound every cell touched.
+        const auto ci = static_cast<std::size_t>(i);
+        const int lo = states[layer_begin].units + min_cost[ci];
+        const int hi =
+            std::min(limit, states[layer_end - 1].units + max_cost[ci]);
+        double best = kNegInf;
+        for (int u = lo; u <= hi; ++u) {
+            Cell &cell = next[static_cast<std::size_t>(u)];
+            if (cell.throughput > best) {
+                best = cell.throughput;
+                states.push_back({u, cell.from, cell.choice, best});
+            }
+            cell.throughput = kNegInf;
         }
+        if (states.size() == layer_end)
+            return res; // even the cheapest choices do not fit
+        layer_begin = layer_end;
     }
-    if (best_u < 0 || best_t == kNegInf)
-        return res; // even all-gated does not fit
 
-    // Walk the choices backwards. choice_at[i][u] was only recorded for
-    // the u that the dp actually reached, so recompute by re-running
-    // the backward reconstruction.
+    // The last state of the final layer is the dense DP's best end
+    // state; walk its back-pointers from core n-1 down to core 0.
     res.settings.resize(static_cast<std::size_t>(n));
-    int u = best_u;
+    std::size_t s = states.size() - 1;
     for (int i = n - 1; i >= 0; --i) {
-        const int c = choice_at[static_cast<std::size_t>(i)]
-                               [static_cast<std::size_t>(u)];
-        SC_ASSERT(c >= 0, "optimizeAllocation: broken DP path");
-        const auto &ch =
-            choices[static_cast<std::size_t>(i)][static_cast<std::size_t>(c)];
+        const State &st = states[s];
+        const Choice &ch = choices[static_cast<std::size_t>(i) * k +
+                                   static_cast<std::size_t>(st.choice)];
         res.settings[static_cast<std::size_t>(i)] = ch.setting;
         res.powerW += ch.powerW;
         res.throughput += ch.throughput;
-        const int cost =
-            static_cast<int>(std::ceil(ch.powerW / power_res_w - 1e-12));
-        u -= cost;
+        s = static_cast<std::size_t>(st.from);
     }
-    SC_ASSERT(u >= 0, "optimizeAllocation: negative residual budget");
     res.feasible = true;
     return res;
 }
@@ -139,20 +185,17 @@ AllocationResult
 bruteForceAllocation(const cpu::MultiCoreChip &chip, double budget_w)
 {
     AllocationResult best;
-    const int n = chip.numCores();
-    std::vector<std::vector<Choice>> choices;
-    choices.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-        choices.push_back(coreChoices(chip, i));
+    const std::size_t n = static_cast<std::size_t>(chip.numCores());
+    const std::size_t k = choicesPerCore(chip);
+    const std::vector<Choice> choices = chipChoices(chip);
 
-    std::vector<std::size_t> pick(static_cast<std::size_t>(n), 0);
+    // pick[i]: core i's choice; counts up like an odometer.
+    std::vector<std::size_t> pick(n, 0);
     while (true) {
         double p = 0.0;
         double t = 0.0;
-        for (int i = 0; i < n; ++i) {
-            const auto &ch =
-                choices[static_cast<std::size_t>(i)][pick[
-                    static_cast<std::size_t>(i)]];
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto &ch = choices[i * k + pick[i]];
             p += ch.powerW;
             t += ch.throughput;
         }
@@ -161,18 +204,14 @@ bruteForceAllocation(const cpu::MultiCoreChip &chip, double budget_w)
             best.powerW = p;
             best.throughput = t;
             best.settings.clear();
-            for (int i = 0; i < n; ++i)
-                best.settings.push_back(
-                    choices[static_cast<std::size_t>(i)]
-                           [pick[static_cast<std::size_t>(i)]].setting);
+            for (std::size_t i = 0; i < n; ++i)
+                best.settings.push_back(choices[i * k + pick[i]].setting);
         }
-        // Odometer increment.
-        int i = 0;
+        std::size_t i = 0;
         for (; i < n; ++i) {
-            auto &d = pick[static_cast<std::size_t>(i)];
-            if (++d < choices[static_cast<std::size_t>(i)].size())
+            if (++pick[i] < k)
                 break;
-            d = 0;
+            pick[i] = 0;
         }
         if (i == n)
             break;

@@ -533,10 +533,18 @@ runDay(cpu::MultiCoreChip &chip, const pv::PvModule &module,
                 ++result.retracks;
                 const auto alloc =
                     optimizeAllocation(chip, alloc_budget_w);
-                if (alloc.feasible)
+                if (alloc.feasible) {
                     applyAllocation(chip, alloc);
-                else
+                } else if (chip.gatingAllowed()) {
                     chip.gateAll();
+                } else {
+                    // Nothing fits and PCPG forbids gating: fail over
+                    // to the utility, as the tracking branch does. A
+                    // derated day has no panel to switch back to.
+                    ats.force(power::PowerSource::Grid);
+                    chip.setAllLevels(chip.dvfs().maxLevel());
+                    on_solar = false;
+                }
                 last_track_minute = minute;
             }
         } else {

@@ -381,9 +381,8 @@ std::string
 validateQuery(const PlanQuery &query)
 {
     const auto &g = query.grid;
-    if (g.sites.empty() || g.months.empty() || g.policies.empty() ||
-        g.workloads.empty() || g.seeds.empty())
-        return "empty scenario axis";
+    if (std::string error = campaign::validateGrid(g); !error.empty())
+        return error;
     if (g.sites.size() > kMaxAxisEntries ||
         g.months.size() > kMaxAxisEntries ||
         g.policies.size() > kMaxAxisEntries ||
@@ -392,16 +391,6 @@ validateQuery(const PlanQuery &query)
         return "scenario axis too large";
     if (query.nodesPerUnit == 0)
         return "nodesPerUnit must be positive";
-    if (!std::isfinite(g.dtSeconds) || g.dtSeconds <= 0.0)
-        return "dtSeconds must be positive and finite";
-    if (!std::isfinite(g.fixedBudgetW) || g.fixedBudgetW <= 0.0)
-        return "fixedBudgetW must be positive and finite";
-    if (!std::isfinite(g.batteryDerating) || g.batteryDerating <= 0.0 ||
-        g.batteryDerating > 1.0)
-        return "batteryDerating must be in (0, 1]";
-    if (!std::isfinite(g.trackingPeriodMinutes) ||
-        g.trackingPeriodMinutes <= 0.0)
-        return "trackingPeriodMinutes must be positive and finite";
     // assessEnergy SC_ASSERTs on negative context -- reject here so a
     // client cannot abort the server.
     const auto &e = query.econ;

@@ -4,6 +4,7 @@
  * parsing and presets.
  */
 
+#include <limits>
 #include <set>
 #include <string>
 
@@ -116,6 +117,36 @@ TEST(Scenario, ListParsersRejectBadTokens)
     EXPECT_EQ(seeds[2], 42u);
     EXPECT_FALSE(parseSeedList("1,two", seeds));
     EXPECT_FALSE(parseSeedList("3.5", seeds));
+}
+
+TEST(Scenario, ValidateGridRejectsWhatCannotRun)
+{
+    EXPECT_EQ(validateGrid(smallGrid()), "");
+    ScenarioGrid full;
+    ASSERT_TRUE(applyPreset("full", full));
+    EXPECT_EQ(validateGrid(full), "");
+
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    auto rejects = [](auto mutate) {
+        auto grid = smallGrid();
+        mutate(grid);
+        return !validateGrid(grid).empty();
+    };
+    EXPECT_TRUE(rejects([](ScenarioGrid &g) { g.seeds.clear(); }));
+    EXPECT_TRUE(rejects([](ScenarioGrid &g) { g.sites.clear(); }));
+    for (const double bad : {0.0, -1.0, inf, nan}) {
+        EXPECT_TRUE(rejects([&](ScenarioGrid &g) { g.dtSeconds = bad; }));
+        EXPECT_TRUE(
+            rejects([&](ScenarioGrid &g) { g.fixedBudgetW = bad; }));
+        EXPECT_TRUE(rejects(
+            [&](ScenarioGrid &g) { g.trackingPeriodMinutes = bad; }));
+        EXPECT_TRUE(
+            rejects([&](ScenarioGrid &g) { g.batteryDerating = bad; }));
+    }
+    EXPECT_TRUE(rejects([](ScenarioGrid &g) { g.batteryDerating = 3.0; }));
+    EXPECT_FALSE(
+        rejects([](ScenarioGrid &g) { g.batteryDerating = 1.0; }));
 }
 
 TEST(Scenario, PresetsLoadAndDiffer)

@@ -1,16 +1,178 @@
 /**
  * @file
- * Tests for the fixed-budget allocation optimizer, including a
- * cross-check of the DP against exhaustive search.
+ * Tests for the fixed-budget allocation optimizer: a cross-check of
+ * the DP against exhaustive search, and a bitwise differential test of
+ * the Pareto-frontier DP against the dense-grid DP it replaced.
  */
+
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
 
 #include <gtest/gtest.h>
 
 #include "core/fixed_power.hpp"
+#include "util/logging.hpp"
 #include "workload/multiprogram.hpp"
 
 namespace solarcore::core {
 namespace {
+
+/** One selectable state of a core: gated or a DVFS level. */
+struct Choice
+{
+    cpu::MultiCoreChip::CoreSetting setting;
+    double powerW = 0.0;
+    double throughput = 0.0;
+};
+
+/** The allocator's choice list: gated (when PCPG allows), then levels. */
+std::vector<Choice>
+coreChoices(const cpu::MultiCoreChip &chip, int index)
+{
+    std::vector<Choice> out;
+    const auto &table = chip.dvfs();
+    const cpu::Core &c = chip.core(index);
+
+    if (chip.gatingAllowed()) {
+        Choice gated;
+        gated.setting = {table.minLevel(), true};
+        gated.powerW = chip.powerModel().gatedPower().totalW();
+        gated.throughput = 0.0;
+        out.push_back(gated);
+    }
+
+    for (int l = table.minLevel(); l <= table.maxLevel(); ++l) {
+        Choice ch;
+        ch.setting = {l, false};
+        ch.powerW = c.powerAtLevel(l);
+        ch.throughput = c.throughputAtLevel(l);
+        out.push_back(ch);
+    }
+    return out;
+}
+
+/**
+ * Test oracle: the dense-grid DP that optimizeAllocation used before
+ * the Pareto frontier, kept verbatim. It visits every budget unit of
+ * every core layer, so its cost grows with budget / resolution.
+ */
+AllocationResult
+denseReference(const cpu::MultiCoreChip &chip, double budget_w,
+               double power_res_w = 0.1)
+{
+    SC_ASSERT(power_res_w > 0.0, "optimizeAllocation: bad resolution");
+    AllocationResult res;
+    if (budget_w <= 0.0)
+        return res;
+
+    const int n = chip.numCores();
+    const int budget_units =
+        static_cast<int>(std::floor(budget_w / power_res_w));
+    if (budget_units <= 0)
+        return res;
+
+    constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+    // dp[u]: best throughput with the cores processed so far consuming
+    // at most u power units; choice[i][u] reconstructs the argmax.
+    std::vector<double> dp(static_cast<std::size_t>(budget_units) + 1,
+                           kNegInf);
+    dp[0] = 0.0;
+    std::vector<std::vector<int>> choice_at(
+        static_cast<std::size_t>(n),
+        std::vector<int>(static_cast<std::size_t>(budget_units) + 1, -1));
+    std::vector<std::vector<Choice>> choices;
+    choices.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i)
+        choices.push_back(coreChoices(chip, i));
+
+    for (int i = 0; i < n; ++i) {
+        std::vector<double> next(dp.size(), kNegInf);
+        for (int u = 0; u <= budget_units; ++u) {
+            if (dp[static_cast<std::size_t>(u)] == kNegInf)
+                continue;
+            for (std::size_t c = 0; c < choices[i].size(); ++c) {
+                const auto &ch = choices[static_cast<std::size_t>(i)][c];
+                // Round power up so the grid never under-counts.
+                const int cost = static_cast<int>(
+                    std::ceil(ch.powerW / power_res_w - 1e-12));
+                const int u2 = u + cost;
+                if (u2 > budget_units)
+                    continue;
+                const double t =
+                    dp[static_cast<std::size_t>(u)] + ch.throughput;
+                if (t > next[static_cast<std::size_t>(u2)]) {
+                    next[static_cast<std::size_t>(u2)] = t;
+                    choice_at[static_cast<std::size_t>(i)]
+                             [static_cast<std::size_t>(u2)] =
+                                 static_cast<int>(c);
+                }
+            }
+        }
+        dp.swap(next);
+    }
+
+    // Best end state.
+    int best_u = -1;
+    double best_t = kNegInf;
+    for (int u = 0; u <= budget_units; ++u) {
+        if (dp[static_cast<std::size_t>(u)] > best_t) {
+            best_t = dp[static_cast<std::size_t>(u)];
+            best_u = u;
+        }
+    }
+    if (best_u < 0 || best_t == kNegInf)
+        return res; // even all-gated does not fit
+
+    // Walk the choices backwards. choice_at[i][u] was only recorded for
+    // the u that the dp actually reached, so recompute by re-running
+    // the backward reconstruction.
+    res.settings.resize(static_cast<std::size_t>(n));
+    int u = best_u;
+    for (int i = n - 1; i >= 0; --i) {
+        const int c = choice_at[static_cast<std::size_t>(i)]
+                               [static_cast<std::size_t>(u)];
+        SC_ASSERT(c >= 0, "optimizeAllocation: broken DP path");
+        const auto &ch =
+            choices[static_cast<std::size_t>(i)][static_cast<std::size_t>(c)];
+        res.settings[static_cast<std::size_t>(i)] = ch.setting;
+        res.powerW += ch.powerW;
+        res.throughput += ch.throughput;
+        const int cost =
+            static_cast<int>(std::ceil(ch.powerW / power_res_w - 1e-12));
+        u -= cost;
+    }
+    SC_ASSERT(u >= 0, "optimizeAllocation: negative residual budget");
+    res.feasible = true;
+    return res;
+}
+
+bool
+bitEqual(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** Empty when @p a and @p b are the same allocation, bit for bit. */
+std::string
+allocationMismatch(const AllocationResult &a, const AllocationResult &b)
+{
+    if (a.feasible != b.feasible)
+        return "feasible";
+    if (a.settings.size() != b.settings.size())
+        return "settings size";
+    for (std::size_t i = 0; i < a.settings.size(); ++i)
+        if (a.settings[i].level != b.settings[i].level ||
+            a.settings[i].gated != b.settings[i].gated)
+            return "setting of core " + std::to_string(i);
+    if (!bitEqual(a.powerW, b.powerW))
+        return "powerW";
+    if (!bitEqual(a.throughput, b.throughput))
+        return "throughput";
+    return {};
+}
 
 cpu::MultiCoreChip
 makeChip(workload::WorkloadId id, int cores = 8)
@@ -48,12 +210,17 @@ TEST(FixedPower, ThroughputMonotoneInBudget)
 
 TEST(FixedPower, HugeBudgetRunsEverythingFlatOut)
 {
+    // A budget beyond what the chip can draw costs what the chip costs:
+    // no grid sized by the budget, no int overflow at 1e9 W or +inf.
     auto chip = makeChip(workload::WorkloadId::L1);
-    const auto alloc = optimizeAllocation(chip, 1000.0);
-    ASSERT_TRUE(alloc.feasible);
-    for (const auto &s : alloc.settings) {
-        EXPECT_FALSE(s.gated);
-        EXPECT_EQ(s.level, chip.dvfs().maxLevel());
+    for (double budget :
+         {1000.0, 1e6, 1e9, std::numeric_limits<double>::infinity()}) {
+        const auto alloc = optimizeAllocation(chip, budget);
+        ASSERT_TRUE(alloc.feasible) << budget;
+        for (const auto &s : alloc.settings) {
+            EXPECT_FALSE(s.gated) << budget;
+            EXPECT_EQ(s.level, chip.dvfs().maxLevel()) << budget;
+        }
     }
 }
 
@@ -72,6 +239,9 @@ TEST(FixedPower, ZeroBudgetInfeasible)
     auto chip = makeChip(workload::WorkloadId::H1);
     EXPECT_FALSE(optimizeAllocation(chip, 0.0).feasible);
     EXPECT_FALSE(optimizeAllocation(chip, -5.0).feasible);
+    EXPECT_FALSE(
+        optimizeAllocation(chip, std::numeric_limits<double>::quiet_NaN())
+            .feasible);
 }
 
 TEST(FixedPower, ApplyAllocationSetsChipState)
@@ -110,6 +280,96 @@ TEST(FixedPower, DpMatchesBruteForceHeterogeneous)
     const auto bf = bruteForceAllocation(chip, 55.0);
     ASSERT_TRUE(dp.feasible && bf.feasible);
     EXPECT_GE(dp.throughput, bf.throughput * 0.98);
+}
+
+TEST(FixedPower, GatingForbiddenMatchesBruteForce)
+{
+    // Without PCPG neither optimizer may offer the gated state; below
+    // the all-lowest-level power nothing fits at all.
+    auto chip = makeChip(workload::WorkloadId::ML2, 4);
+    chip.setGatingAllowed(false);
+    const double floor_w = chip.minUngatedPower();
+    for (double budget :
+         {0.5 * floor_w, 15.0, 30.0, 45.0, 70.0, 120.0}) {
+        const auto dp = optimizeAllocation(chip, budget, 0.01);
+        const auto bf = bruteForceAllocation(chip, budget);
+        ASSERT_EQ(dp.feasible, bf.feasible) << budget;
+        ASSERT_EQ(dp.feasible, budget >= floor_w) << budget;
+        if (!dp.feasible)
+            continue;
+        for (std::size_t i = 0; i < dp.settings.size(); ++i) {
+            EXPECT_FALSE(dp.settings[i].gated) << budget;
+            EXPECT_FALSE(bf.settings[i].gated) << budget;
+        }
+        EXPECT_LE(dp.powerW, budget) << budget;
+        EXPECT_LE(dp.throughput, bf.throughput + 1e-6) << budget;
+        EXPECT_GE(dp.throughput, bf.throughput * 0.98) << budget;
+    }
+}
+
+TEST(FixedPower, FrontierMatchesDenseDpBitwise)
+{
+    // Random chips, core states, DVFS tables, PCPG settings, budgets
+    // and resolutions: the frontier DP must return exactly the dense
+    // DP's allocation. Profiles repeat across cores, some chips share
+    // one die temperature, and coarse grids merge costs -- all to force
+    // ties, which only the dense DP's relaxation order resolves.
+    std::mt19937_64 rng(0x5eedf1a7ull);
+    auto uniform = [&rng](double lo, double hi) {
+        return std::uniform_real_distribution<double>(lo, hi)(rng);
+    };
+    auto pick = [&rng](int lo, int hi) {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    const cpu::DvfsTable tables[] = {cpu::DvfsTable::paperDefault(),
+                                     cpu::DvfsTable::interpolated(3),
+                                     cpu::DvfsTable::interpolated(21)};
+    const double resolutions[] = {0.01, 0.05, 0.1, 0.25, 1.0};
+    constexpr int kCases = 3000;
+    int mismatches = 0;
+    for (int k = 0; k < kCases; ++k) {
+        const int cores = pick(1, 12);
+        const auto set = workload::workloadSet(
+            static_cast<workload::WorkloadId>(
+                pick(0, workload::kNumWorkloads - 1)));
+        const int distinct = pick(1, cores);
+        std::vector<cpu::BenchmarkProfile> palette;
+        for (int j = 0; j < distinct; ++j)
+            palette.push_back(set[static_cast<std::size_t>(
+                pick(0, static_cast<int>(set.size()) - 1))]);
+        std::vector<cpu::BenchmarkProfile> profiles;
+        for (int i = 0; i < cores; ++i)
+            profiles.push_back(
+                palette[static_cast<std::size_t>(i % distinct)]);
+
+        auto cfg = cpu::defaultChipConfig();
+        cfg.numCores = cores;
+        const auto &table = tables[pick(0, 2)];
+        cpu::MultiCoreChip chip(cfg, table, cpu::EnergyParams{},
+                                std::move(profiles),
+                                static_cast<std::uint64_t>(k));
+        chip.step(uniform(0.0, 600.0));
+        chip.setGatingAllowed(pick(0, 3) != 0);
+        const bool shared_temp = pick(0, 1) == 0;
+        const double temp = uniform(40.0, 95.0);
+        for (int i = 0; i < cores; ++i)
+            chip.core(i).setDieTempC(shared_temp ? temp
+                                                 : uniform(40.0, 95.0));
+
+        const double budget = pick(0, 4) == 0
+            ? static_cast<double>(pick(1, 25 * cores))
+            : uniform(0.0, 25.0 * cores);
+        const double res = resolutions[pick(0, 4)];
+        const auto want = denseReference(chip, budget, res);
+        const auto got = optimizeAllocation(chip, budget, res);
+        const std::string diff = allocationMismatch(got, want);
+        if (!diff.empty() && ++mismatches <= 5)
+            ADD_FAILURE() << "case " << k << ": " << diff << " differs ("
+                          << cores << " cores, " << table.numLevels()
+                          << " levels, budget " << budget << " W, res "
+                          << res << " W)";
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 TEST(FixedPower, PrefersEfficientCoresUnderTightBudget)

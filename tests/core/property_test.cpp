@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/solarcore.hpp"
+#include "obs/auditor.hpp"
 #include "util/stats.hpp"
 
 namespace solarcore::core {
@@ -192,6 +193,55 @@ TEST(PcpgProperty, GatingExtendsEffectiveDuration)
     EXPECT_GT(rw.effectiveFraction, ro.effectiveFraction);
     EXPECT_GT(rw.utilization, ro.utilization);
     EXPECT_GT(rw.solarInstructions, ro.solarInstructions);
+}
+
+/**
+ * A Fixed-Power day without PCPG never gates a core: the allocator
+ * offers no gated state, and when nothing fits the day fails over to
+ * the utility instead.
+ */
+TEST(PcpgProperty, FixedPowerDayHonoursGatingBan)
+{
+    const auto module = pv::buildBp3180n();
+    const auto trace = solar::generateDayTrace(solar::SiteId::CO,
+                                               solar::Month::Jul, 2);
+    SimConfig with;
+    with.policy = PolicyKind::FixedPower;
+    with.fixedBudgetW = 30.0;
+    with.dtSeconds = 60.0;
+    SimConfig without = with;
+    without.pcpg = false;
+    obs::Auditor audit;
+    without.audit = &audit;
+    const auto rw = simulateDay(module, trace, workload::WorkloadId::HM2,
+                                with);
+    const auto ro = simulateDay(module, trace, workload::WorkloadId::HM2,
+                                without);
+    EXPECT_GT(audit.stepsAudited(), 0u);
+    EXPECT_EQ(audit.count(obs::AuditCheck::DvfsLegality), 0u);
+    EXPECT_LT(ro.solarInstructions, rw.solarInstructions);
+}
+
+/** The same for a battery day whose stable budget fits no ungated chip. */
+TEST(PcpgProperty, BatteryDayHonoursGatingBan)
+{
+    const auto module = pv::buildBp3180n();
+    const auto trace = solar::generateDayTrace(solar::SiteId::CO,
+                                               solar::Month::Jul, 2);
+    SimConfig with;
+    with.dtSeconds = 60.0;
+    SimConfig without = with;
+    without.pcpg = false;
+    obs::Auditor audit;
+    without.audit = &audit;
+    const auto rw = simulateBatteryDay(module, trace,
+                                       workload::WorkloadId::HM2, 0.1, with);
+    const auto ro = simulateBatteryDay(
+        module, trace, workload::WorkloadId::HM2, 0.1, without);
+    EXPECT_GT(audit.stepsAudited(), 0u);
+    EXPECT_EQ(audit.count(obs::AuditCheck::DvfsLegality), 0u);
+    EXPECT_GT(rw.consumedWh, 0.0);
+    EXPECT_EQ(ro.consumedWh, 0.0); // nothing fits: the utility runs it
 }
 
 /** Fixed-power with a budget above the chip max behaves sanely. */

@@ -186,10 +186,9 @@ main(int argc, char **argv)
             usage(("unknown option " + key).c_str());
         }
     }
-    if (grid.unitCount() == 0)
-        usage("empty grid");
-    if (grid.dtSeconds <= 0.0)
-        usage("--dt must be positive");
+    if (const std::string error = campaign::validateGrid(grid);
+        !error.empty())
+        usage(error.c_str());
 
     std::cerr << "campaign: " << grid.unitCount() << " units\n";
     const auto outcome = campaign::runCampaign(grid, options);
