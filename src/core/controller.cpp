@@ -162,7 +162,6 @@ SolarCoreController::track()
     // chosen notch overshoots, revert it and fall through to the fill
     // stage below -- that notch marks the paper's inflection point.
     for (int i = 0; i < config_.maxTuneSteps; ++i) {
-        const auto snapshot = chip_->settings();
         std::vector<StepCandidate> candidates;
         if (trace_)
             candidates = allUpSteps(*chip_);
@@ -170,7 +169,7 @@ SolarCoreController::track()
         if (!step.valid)
             break; // every core already at the top level
         if (!sustainable(chip_->totalPower())) {
-            chip_->applySettings(snapshot); // inflection: back off
+            revertStep(*chip_, step); // inflection: back off
             break;
         }
         if (trace_)
@@ -187,23 +186,25 @@ SolarCoreController::track()
     // without disturbing the policies' allocation character.
     for (int i = 0; i < config_.maxTuneSteps; ++i) {
         StepCandidate best;
-        const auto ups = allUpSteps(*chip_);
-        for (const auto &s : ups) {
-            if (s.deltaPowerW <= 0.0)
+        for (int c = 0; c < chip_->numCores(); ++c) {
+            const auto s = upStep(*chip_, c);
+            if (!s.valid || s.deltaPowerW <= 0.0)
                 continue;
             if (!best.valid || s.deltaPowerW < best.deltaPowerW)
                 best = s;
         }
         if (!best.valid)
             break;
-        const auto snapshot = chip_->settings();
+        std::vector<StepCandidate> candidates;
+        if (trace_)
+            candidates = allUpSteps(*chip_);
         applyStep(*chip_, best);
         if (!sustainable(chip_->totalPower())) {
-            chip_->applySettings(snapshot);
+            revertStep(*chip_, best);
             break;
         }
         if (trace_)
-            traceStep(best, rankOf(best, ups, true));
+            traceStep(best, rankOf(best, candidates, true));
         ++result.stepsUp;
         ++totalSteps_;
     }
@@ -229,9 +230,10 @@ SolarCoreController::enforceRail()
 {
     SC_PROFILE_SCOPE("controller.enforce");
     TrackResult result;
-    if (sustainable(chip_->totalPower())) {
+    const double demand = chip_->totalPower();
+    if (sustainable(demand)) {
         result.solarViable = true;
-        result.net = pinRail(chip_->totalPower());
+        result.net = pinRail(demand);
         return result;
     }
     shedUntilSustainable(result);

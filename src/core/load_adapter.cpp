@@ -25,8 +25,9 @@ TprOptAdapter::increaseOneStep(cpu::MultiCoreChip &chip)
     // Highest throughput gain per added watt wins the new power.
     StepCandidate best;
     double best_tpr = -1.0;
-    for (const auto &s : allUpSteps(chip)) {
-        if (s.deltaPowerW <= 0.0)
+    for (int i = 0; i < chip.numCores(); ++i) {
+        const auto s = upStep(chip, i);
+        if (!s.valid || s.deltaPowerW <= 0.0)
             continue; // defensive: an up-step should always cost power
         const double tpr = s.deltaThroughput / s.deltaPowerW;
         if (tpr > best_tpr) {
@@ -44,8 +45,9 @@ TprOptAdapter::decreaseOneStep(cpu::MultiCoreChip &chip)
     // Shed the step that loses the least throughput per saved watt.
     StepCandidate best;
     double best_cost = 1e301;
-    for (const auto &s : allDownSteps(chip)) {
-        if (s.deltaPowerW >= 0.0)
+    for (int i = 0; i < chip.numCores(); ++i) {
+        const auto s = downStep(chip, i);
+        if (!s.valid || s.deltaPowerW >= 0.0)
             continue;
         const double cost = (-s.deltaThroughput) / (-s.deltaPowerW);
         if (cost < best_cost) {

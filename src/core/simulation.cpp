@@ -54,7 +54,7 @@ stepDieTemps(cpu::MultiCoreChip &chip,
             continue;
         }
         const double t = thermal[static_cast<std::size_t>(i)].step(
-            core.power().totalW(), ambient_c, cfg.dtSeconds);
+            core.powerW(), ambient_c, cfg.dtSeconds);
         core.setDieTempC(t);
         if (t > cfg.maxDieTempC && !core.gated() &&
             core.level() > chip.dvfs().minLevel()) {
@@ -272,12 +272,12 @@ class DayTelemetry
         for (int i = 0; i < chip.numCores(); ++i) {
             const auto &core = chip.core(i);
             const auto &ch = cores_[static_cast<std::size_t>(i)];
-            rec_->set(ch.power, core.power().totalW());
+            rec_->set(ch.power, core.powerW());
             if (!core.gated()) {
                 rec_->set(ch.freq,
                           chip.dvfs().frequency(core.level()) / 1e9);
                 rec_->set(ch.volt, chip.dvfs().voltage(core.level()));
-                rec_->set(ch.ipc, core.perf().ipc);
+                rec_->set(ch.ipc, core.ipc());
             }
             const auto up = upStep(chip, i);
             if (up.valid)

@@ -85,6 +85,15 @@ applyStep(cpu::MultiCoreChip &chip, const StepCandidate &step)
         c.setLevel(step.toLevel);
 }
 
+void
+revertStep(cpu::MultiCoreChip &chip, const StepCandidate &step)
+{
+    SC_ASSERT(step.valid, "revertStep: invalid candidate");
+    cpu::Core &c = chip.core(step.coreIndex);
+    c.setLevel(step.fromLevel);
+    c.setGated(step.fromGated);
+}
+
 std::vector<StepCandidate>
 allUpSteps(const cpu::MultiCoreChip &chip)
 {

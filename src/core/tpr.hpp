@@ -62,10 +62,17 @@ StepCandidate downStep(const cpu::MultiCoreChip &chip, int index);
 /** Apply a (valid) candidate to the chip. */
 void applyStep(cpu::MultiCoreChip &chip, const StepCandidate &step);
 
-/** All valid upward steps, one per eligible core. */
+/**
+ * Undo an applied candidate: restore the core's level, then its gate.
+ * Leaves the chip's settings() and transition counters exactly as
+ * applySettings() of the pre-step snapshot would.
+ */
+void revertStep(cpu::MultiCoreChip &chip, const StepCandidate &step);
+
+/** All valid upward steps, one per eligible core (for trace ranks). */
 std::vector<StepCandidate> allUpSteps(const cpu::MultiCoreChip &chip);
 
-/** All valid downward steps, one per eligible core. */
+/** All valid downward steps, one per eligible core (for trace ranks). */
 std::vector<StepCandidate> allDownSteps(const cpu::MultiCoreChip &chip);
 
 } // namespace solarcore::core

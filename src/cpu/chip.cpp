@@ -14,15 +14,16 @@ MultiCoreChip::MultiCoreChip(const ChipConfig &config, const DvfsTable &table,
                              const EnergyParams &energy,
                              std::vector<BenchmarkProfile> workload,
                              std::uint64_t seed)
-    : config_(config), table_(table), perfModel_(config.core),
-      powerModel_(energy)
+    : config_(config), table_(table), powerModel_(energy)
 {
     SC_ASSERT(static_cast<int>(workload.size()) == config.numCores,
               "MultiCoreChip: workload size ", workload.size(),
               " != core count ", config.numCores);
+    // The interval model only fills the cores' model tables.
+    const PerfModel perf(config.core);
     cores_.reserve(workload.size());
     for (std::size_t i = 0; i < workload.size(); ++i) {
-        cores_.emplace_back(static_cast<int>(i), table_, perfModel_,
+        cores_.emplace_back(static_cast<int>(i), table_, perf,
                             powerModel_, std::move(workload[i]),
                             seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
     }
@@ -47,7 +48,7 @@ MultiCoreChip::totalPower() const
 {
     double w = 0.0;
     for (const auto &c : cores_)
-        w += c.power().totalW();
+        w += c.powerW();
     return w;
 }
 
@@ -70,7 +71,7 @@ MultiCoreChip::inputPower() const
         return totalPower();
     double w = 0.0;
     for (const auto &c : cores_)
-        w += vrmModel_->inputPower(c.power().totalW());
+        w += vrmModel_->inputPower(c.powerW());
     return w;
 }
 

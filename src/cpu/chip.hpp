@@ -1,8 +1,8 @@
 /**
  * @file
- * The 8-core chip: owns the shared DVFS table and models, constructs
- * one Core per workload slot, and aggregates power/throughput for the
- * SolarCore controller.
+ * The 8-core chip: owns the shared DVFS table and power model,
+ * constructs one Core (with its model table) per workload slot, and
+ * aggregates power/throughput for the SolarCore controller.
  */
 
 #ifndef SOLARCORE_CPU_CHIP_HPP
@@ -19,7 +19,11 @@
 
 namespace solarcore::cpu {
 
-/** An N-core chip running a multiprogrammed workload. */
+/**
+ * An N-core chip running a multiprogrammed workload. Neither copyable
+ * nor movable: every Core points at its chip's DVFS table and power
+ * model, so a copy's cores would read the source's members.
+ */
 class MultiCoreChip
 {
   public:
@@ -35,6 +39,9 @@ class MultiCoreChip
                   const EnergyParams &energy,
                   std::vector<BenchmarkProfile> workload,
                   std::uint64_t seed);
+
+    MultiCoreChip(const MultiCoreChip &) = delete;
+    MultiCoreChip &operator=(const MultiCoreChip &) = delete;
 
     int numCores() const { return static_cast<int>(cores_.size()); }
     Core &core(int i);
@@ -121,7 +128,6 @@ class MultiCoreChip
   private:
     ChipConfig config_;
     DvfsTable table_;
-    PerfModel perfModel_;
     PowerModel powerModel_;
     std::vector<Core> cores_;
     std::optional<Vrm> vrmModel_;

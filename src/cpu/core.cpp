@@ -10,10 +10,23 @@ namespace solarcore::cpu {
 Core::Core(int id, const DvfsTable &table, const PerfModel &perf,
            const PowerModel &power, BenchmarkProfile profile,
            std::uint64_t seed)
-    : id_(id), table_(&table), perfModel_(&perf), powerModel_(&power),
+    : id_(id), table_(&table), powerModel_(&power),
       profile_(std::move(profile)), level_(table.maxLevel())
 {
     SC_ASSERT(!profile_.phases.empty(), "Core: benchmark has no phases");
+
+    // The model table: everything but leakage, per (phase, level).
+    model_.reserve(profile_.phases.size() *
+                   static_cast<std::size_t>(table.numLevels()));
+    for (const auto &ph : profile_.phases) {
+        for (int l = table.minLevel(); l <= table.maxLevel(); ++l) {
+            const double f = table.frequency(l);
+            const PerfEstimate est = perf.evaluate(ph, f);
+            model_.push_back(
+                {est.ipc, est.throughput(f),
+                 power.evaluate(ph, est, table.voltage(l), f).dynamicW});
+        }
+    }
 
     // Jitter phase durations +-20% and start at a random point of the
     // playback so co-scheduled copies of one program decorrelate.
@@ -50,54 +63,6 @@ Core::currentPhase() const
     return profile_.phases[phaseIndex_];
 }
 
-PerfEstimate
-Core::perfAtLevel(int level) const
-{
-    return perfModel_->evaluate(currentPhase(), table_->frequency(level));
-}
-
-PerfEstimate
-Core::perf() const
-{
-    if (gated_)
-        return PerfEstimate{};
-    return perfAtLevel(level_);
-}
-
-PowerEstimate
-Core::power() const
-{
-    if (gated_)
-        return powerModel_->gatedPower();
-    return powerModel_->evaluate(currentPhase(), perfAtLevel(level_),
-                                 table_->voltage(level_),
-                                 table_->frequency(level_), dieTempC_);
-}
-
-double
-Core::throughput() const
-{
-    if (gated_)
-        return 0.0;
-    return perfAtLevel(level_).throughput(table_->frequency(level_));
-}
-
-double
-Core::powerAtLevel(int level) const
-{
-    return powerModel_
-        ->evaluate(currentPhase(), perfAtLevel(level),
-                   table_->voltage(level), table_->frequency(level),
-                   dieTempC_)
-        .totalW();
-}
-
-double
-Core::throughputAtLevel(int level) const
-{
-    return perfAtLevel(level).throughput(table_->frequency(level));
-}
-
 void
 Core::step(double seconds)
 {
@@ -106,12 +71,8 @@ Core::step(double seconds)
     while (remaining > 0.0) {
         const double in_phase =
             std::min(remaining, phaseDur_[phaseIndex_] - phaseElapsed_);
-        if (!gated_) {
-            instructions_ += throughput() * in_phase;
-            energy_ += power().totalW() * in_phase;
-        } else {
-            energy_ += powerModel_->gatedPower().totalW() * in_phase;
-        }
+        instructions_ += throughput() * in_phase; // 0 while gated
+        energy_ += powerW() * in_phase;
         phaseElapsed_ += in_phase;
         remaining -= in_phase;
         if (phaseElapsed_ >= phaseDur_[phaseIndex_] - 1e-12) {
@@ -125,6 +86,7 @@ void
 Core::swapWorkloads(Core &a, Core &b)
 {
     std::swap(a.profile_, b.profile_);
+    std::swap(a.model_, b.model_);
     std::swap(a.phaseDur_, b.phaseDur_);
     std::swap(a.phaseIndex_, b.phaseIndex_);
     std::swap(a.phaseElapsed_, b.phaseElapsed_);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "util/logging.hpp"
 
@@ -44,12 +45,11 @@ DvfsTable::DvfsTable(std::vector<DvfsPoint> points)
     }
 }
 
-const DvfsPoint &
-DvfsTable::point(int level) const
+void
+DvfsTable::levelOutOfRange(int level)
 {
-    SC_ASSERT(level >= 0 && level < numLevels(),
-              "DvfsTable: level out of range: ", level);
-    return points_[static_cast<std::size_t>(level)];
+    SC_PANIC("DvfsTable: level out of range: ", level);
+    std::abort(); // SC_PANIC does not return
 }
 
 double

@@ -47,7 +47,15 @@ class DvfsTable
     int minLevel() const { return 0; }
     int maxLevel() const { return numLevels() - 1; }
 
-    const DvfsPoint &point(int level) const;
+    /** The operating point of @p level; panics when out of range. */
+    const DvfsPoint &
+    point(int level) const
+    {
+        if (level < 0 || level >= numLevels())
+            levelOutOfRange(level);
+        return points_[static_cast<std::size_t>(level)];
+    }
+
     double frequency(int level) const { return point(level).frequencyHz; }
     double voltage(int level) const { return point(level).voltage; }
 
@@ -71,6 +79,8 @@ class DvfsTable
     std::string describe() const;
 
   private:
+    [[noreturn]] static void levelOutOfRange(int level);
+
     std::vector<DvfsPoint> points_;
 };
 

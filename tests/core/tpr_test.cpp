@@ -83,6 +83,86 @@ TEST(Step, ApplyUpThenDownRestoresState)
     EXPECT_EQ(chip.settings()[2].level, before[2].level);
 }
 
+/**
+ * revertStep against applySettings of the pre-step snapshot on a twin
+ * chip, from random states (gated cores, level 0 with PCPG on and off,
+ * top-level cores): every valid up and down candidate must come back
+ * to the same settings() and the same transition counters, which the
+ * stats dump reports as chip.core.*Transitions.
+ */
+TEST(Step, RevertStepMatchesApplySettings)
+{
+    Rng rng(0x5e7e57ull);
+    const auto workloads = workload::allWorkloads();
+    int reverted = 0;
+    int ungates = 0;
+    int gates = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+        const auto id = workloads[static_cast<std::size_t>(
+            rng.uniformInt(0, workload::kNumWorkloads - 1))];
+        const auto seed = rng();
+        cpu::MultiCoreChip chip(cpu::defaultChipConfig(),
+                                cpu::DvfsTable::paperDefault(),
+                                cpu::EnergyParams{},
+                                workload::workloadSet(id), seed);
+        cpu::MultiCoreChip twin(cpu::defaultChipConfig(),
+                                cpu::DvfsTable::paperDefault(),
+                                cpu::EnergyParams{},
+                                workload::workloadSet(id), seed);
+        const bool pcpg = rng.bernoulli(0.5);
+        chip.setGatingAllowed(pcpg);
+        twin.setGatingAllowed(pcpg);
+        const int top = chip.dvfs().maxLevel();
+        for (int i = 0; i < chip.numCores(); ++i) {
+            int level = static_cast<int>(rng.uniformInt(0, top));
+            bool gated = false;
+            switch (rng.uniformInt(0, 3)) {
+              case 0: gated = true; break; // at a random level
+              case 1: level = 0; break;
+              case 2: level = top; break;
+              default: break;
+            }
+            for (auto *c : {&chip, &twin}) {
+                c->core(i).setLevel(level);
+                c->core(i).setGated(gated);
+            }
+        }
+
+        for (int i = 0; i < chip.numCores(); ++i) {
+            for (const bool up : {true, false}) {
+                const auto s = up ? upStep(chip, i) : downStep(chip, i);
+                if (!s.valid)
+                    continue;
+                const auto snapshot = chip.settings();
+                applyStep(chip, s);
+                revertStep(chip, s);
+                applyStep(twin, s);
+                twin.applySettings(snapshot);
+
+                const auto after = chip.settings();
+                for (int j = 0; j < chip.numCores(); ++j) {
+                    const auto &a = after[static_cast<std::size_t>(j)];
+                    const auto &b = snapshot[static_cast<std::size_t>(j)];
+                    EXPECT_EQ(a.level, b.level) << "core " << j;
+                    EXPECT_EQ(a.gated, b.gated) << "core " << j;
+                    EXPECT_EQ(chip.core(j).dvfsTransitions(),
+                              twin.core(j).dvfsTransitions())
+                        << "core " << j;
+                    EXPECT_EQ(chip.core(j).gateTransitions(),
+                              twin.core(j).gateTransitions())
+                        << "core " << j;
+                }
+                ++reverted;
+                ungates += s.fromGated && !s.toGated ? 1 : 0;
+                gates += !s.fromGated && s.toGated ? 1 : 0;
+            }
+        }
+    }
+    EXPECT_GT(reverted, 2000);
+    EXPECT_GT(ungates, 100);
+    EXPECT_GT(gates, 100);
+}
+
 TEST(Step, UpDownDeltasAreSymmetric)
 {
     auto chip = makeChip();

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <type_traits>
+
 #include "cpu/chip.hpp"
 #include "workload/catalog.hpp"
 #include "workload/multiprogram.hpp"
@@ -25,10 +29,10 @@ TEST(Core, LevelChangesPowerAndThroughput)
     auto chip = makeChip();
     Core &c = chip.core(0);
     c.setLevel(0);
-    const double p_low = c.power().totalW();
+    const double p_low = c.powerW();
     const double t_low = c.throughput();
     c.setLevel(5);
-    EXPECT_GT(c.power().totalW(), p_low);
+    EXPECT_GT(c.powerW(), p_low);
     EXPECT_GT(c.throughput(), t_low);
 }
 
@@ -38,21 +42,123 @@ TEST(Core, GatingZeroesThroughput)
     Core &c = chip.core(0);
     c.setGated(true);
     EXPECT_DOUBLE_EQ(c.throughput(), 0.0);
-    EXPECT_LT(c.power().totalW(), 0.1);
+    EXPECT_LT(c.powerW(), 0.1);
     c.setGated(false);
     EXPECT_GT(c.throughput(), 0.0);
 }
 
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/**
+ * Every read of a core's model table against a fresh evaluation of the
+ * models it was built from, bit for bit, over random workloads, DVFS
+ * tables, phase positions (steps that cross phase boundaries), die
+ * temperatures, levels, gates and thread motion.
+ */
 TEST(Core, WhatIfQueriesMatchActualState)
 {
-    auto chip = makeChip();
-    Core &c = chip.core(3);
-    for (int l = 0; l < chip.dvfs().numLevels(); ++l) {
-        c.setLevel(l);
-        EXPECT_NEAR(c.powerAtLevel(l), c.power().totalW(), 1e-9);
-        EXPECT_NEAR(c.throughputAtLevel(l), c.throughput(), 1e-6);
+    const PerfModel perf(defaultChipConfig().core);
+    const DvfsTable tables[] = {DvfsTable::paperDefault(),
+                                DvfsTable::interpolated(3),
+                                DvfsTable::interpolated(21)};
+    const auto workloads = workload::allWorkloads();
+    Rng rng(0x7ab1e5eedull);
+
+    constexpr int kCases = 2000; // randomized chip states
+    constexpr int kStatesPerChip = 20;
+    int mismatches = 0;
+    std::string first;
+    auto check = [&](bool same, const std::string &what) {
+        if (same)
+            return;
+        if (mismatches++ == 0)
+            first = what;
+    };
+
+    for (int done = 0; done < kCases;) {
+        const auto id = workloads[static_cast<std::size_t>(
+            rng.uniformInt(0, workload::kNumWorkloads - 1))];
+        const DvfsTable &table = tables[rng.uniformInt(0, 2)];
+        MultiCoreChip chip(defaultChipConfig(), table, EnergyParams{},
+                           workload::workloadSet(id), rng());
+        const PowerModel &power = chip.powerModel();
+        const int n = chip.numCores();
+        for (int k = 0; k < kStatesPerChip && done < kCases; ++k, ++done) {
+            chip.step(rng.uniform(0.0, 150.0));
+            for (int i = 0; i < n; ++i) {
+                Core &c = chip.core(i);
+                c.setDieTempC(rng.uniform(-20.0, 120.0));
+                c.setLevel(static_cast<int>(
+                    rng.uniformInt(0, table.maxLevel())));
+                c.setGated(rng.bernoulli(0.2));
+            }
+            if (rng.bernoulli(0.5))
+                chip.swapWorkloads(static_cast<int>(rng.uniformInt(0, n - 1)),
+                                   static_cast<int>(rng.uniformInt(0, n - 1)));
+
+            double sum = 0.0;
+            for (int i = 0; i < n; ++i) {
+                const Core &c = chip.core(i);
+                const PhaseProfile &ph = c.currentPhase();
+                const std::string where = std::string(
+                    workload::workloadName(id)) + " state " +
+                    std::to_string(done) + " core " + std::to_string(i);
+                double p_now = power.gatedPower().totalW();
+                double ipc_now = 0.0;
+                double t_now = 0.0;
+                for (int l = 0; l < table.numLevels(); ++l) {
+                    const double f = table.frequency(l);
+                    const PerfEstimate est = perf.evaluate(ph, f);
+                    const double p = power
+                        .evaluate(ph, est, table.voltage(l), f,
+                                  c.dieTempC())
+                        .totalW();
+                    const std::string at =
+                        where + " level " + std::to_string(l);
+                    check(sameBits(c.powerAtLevel(l), p),
+                          "powerAtLevel " + at);
+                    check(sameBits(c.throughputAtLevel(l),
+                                   est.throughput(f)),
+                          "throughputAtLevel " + at);
+                    if (!c.gated() && l == c.level()) {
+                        p_now = p;
+                        ipc_now = est.ipc;
+                        t_now = est.throughput(f);
+                    }
+                }
+                check(sameBits(c.powerW(), p_now), "powerW " + where);
+                check(sameBits(c.ipc(), ipc_now), "ipc " + where);
+                check(sameBits(c.throughput(), t_now),
+                      "throughput " + where);
+                sum += p_now;
+            }
+            check(sameBits(chip.totalPower(), sum),
+                  "totalPower state " + std::to_string(done));
+        }
     }
+    EXPECT_EQ(mismatches, 0) << "first mismatch: " << first;
 }
+
+TEST(Core, LevelOutOfRangePanics)
+{
+    auto chip = makeChip();
+    const Core &c = chip.core(0);
+    const int n = chip.dvfs().numLevels();
+    EXPECT_DEATH(c.powerAtLevel(n), "out of range");
+    EXPECT_DEATH(c.throughputAtLevel(n), "out of range");
+    EXPECT_DEATH(c.powerAtLevel(-1), "out of range");
+}
+
+static_assert(!std::is_copy_constructible_v<MultiCoreChip> &&
+                  !std::is_copy_assignable_v<MultiCoreChip> &&
+                  !std::is_move_constructible_v<MultiCoreChip> &&
+                  !std::is_move_assignable_v<MultiCoreChip>,
+              "cores point into their chip: a chip must not be copied "
+              "or moved");
 
 TEST(Core, StepAccumulatesInstructionsAndEnergy)
 {
@@ -60,7 +166,7 @@ TEST(Core, StepAccumulatesInstructionsAndEnergy)
     Core &c = chip.core(0);
     c.setLevel(5);
     const double thr = c.throughput();
-    const double pw = c.power().totalW();
+    const double pw = c.powerW();
     c.step(1.0);
     // One second within one phase: exact accumulation.
     EXPECT_NEAR(c.instructionsRetired(), thr, thr * 1e-9);
@@ -78,7 +184,7 @@ TEST(Core, PhasePlaybackChangesOperatingPoint)
     double hi = 0.0;
     for (int i = 0; i < 100; ++i) {
         c.step(30.0);
-        const double p = c.power().totalW();
+        const double p = c.powerW();
         lo = std::min(lo, p);
         hi = std::max(hi, p);
     }
@@ -102,7 +208,7 @@ TEST(Chip, AggregatesMatchCoreSums)
     double p = 0.0;
     double t = 0.0;
     for (int i = 0; i < chip.numCores(); ++i) {
-        p += chip.core(i).power().totalW();
+        p += chip.core(i).powerW();
         t += chip.core(i).throughput();
     }
     EXPECT_NEAR(chip.totalPower(), p, 1e-9);
@@ -206,7 +312,7 @@ TEST(Chip, HomogeneousWorkloadCoresDesynchronized)
     double lo = 1e18;
     double hi = 0.0;
     for (int i = 0; i < chip.numCores(); ++i) {
-        const double p = chip.core(i).power().totalW();
+        const double p = chip.core(i).powerW();
         lo = std::min(lo, p);
         hi = std::max(hi, p);
     }

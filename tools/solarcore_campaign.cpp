@@ -42,8 +42,11 @@
  * the golden gate also asserts "zero invariant violations".
  */
 
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -95,6 +98,23 @@ parseDouble(const std::string &flag, const std::string &value)
     } catch (...) {
     }
     usage(("bad value for " + flag).c_str());
+}
+
+/**
+ * Parse the whole of @p value as a whole number that fits in T, or
+ * exit via usage(): no sign, fraction, exponent or overflow.
+ */
+template <typename T>
+T
+parseCount(const std::string &flag, const std::string &value)
+{
+    std::uint64_t v = 0;
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (ec != std::errc() || ptr != end ||
+        v > static_cast<std::uint64_t>(std::numeric_limits<T>::max()))
+        usage(("bad value for " + flag).c_str());
+    return static_cast<T>(v);
 }
 
 } // namespace
@@ -152,18 +172,13 @@ main(int argc, char **argv)
                       "supported on this cpu)");
             grid.pvKernel = value;
         } else if (key == "--threads") {
-            options.threads =
-                static_cast<int>(parseDouble(key, value));
+            options.threads = parseCount<int>(key, value);
         } else if (key == "--workers") {
-            options.workers =
-                static_cast<int>(parseDouble(key, value));
+            options.workers = parseCount<int>(key, value);
         } else if (key == "--unit-cache") {
             options.unitCacheDir = value;
         } else if (key == "--unit-cache-cap") {
-            const double cap = parseDouble(key, value);
-            if (cap < 0.0)
-                usage("--unit-cache-cap must be >= 0");
-            options.unitCacheCap = static_cast<std::size_t>(cap);
+            options.unitCacheCap = parseCount<std::size_t>(key, value);
         } else if (key == "--out") {
             out_path = value;
         } else if (key == "--journal") {
