@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <ostream>
 
@@ -74,6 +75,21 @@ fromBatteryResult(const core::BatteryDayResult &day)
     return m;
 }
 
+/** The panel every campaign unit runs: one BP3180N module. */
+const pv::PvModule &
+campaignModule()
+{
+    static const pv::PvModule module = pv::buildBp3180n();
+    return module;
+}
+
+/** The (site, month, seed) day trace @p unit replays. */
+solar::SolarTrace
+dayTrace(const ScenarioUnit &unit)
+{
+    return solar::generateDayTrace(unit.site, unit.month, unit.seed);
+}
+
 } // namespace
 
 const MetricField (&metricFields())[kNumMetricFields]
@@ -101,12 +117,9 @@ UnitMetrics
 runUnit(const ScenarioUnit &unit, const ScenarioGrid &grid,
         obs::StatsRegistry *stats, obs::TraceBuffer *trace,
         obs::TelemetryRecorder *telemetry, obs::Auditor *audit,
-        core::SimWorkspace *workspace)
+        core::SimWorkspace *workspace, const core::DayStage *stage)
 {
-    static const pv::PvModule module = pv::buildBp3180n();
-    const auto day_trace =
-        solar::generateDayTrace(unit.site, unit.month, unit.seed);
-
+    const pv::PvModule &module = campaignModule();
     core::SimConfig cfg;
     cfg.dtSeconds = grid.dtSeconds;
     cfg.fixedBudgetW = grid.fixedBudgetW;
@@ -120,12 +133,18 @@ runUnit(const ScenarioUnit &unit, const ScenarioGrid &grid,
 
     UnitMetrics m;
     if (unit.policy == CampaignPolicy::Battery) {
-        m = fromBatteryResult(core::simulateBatteryDay(
-            module, day_trace, unit.workload, grid.batteryDerating, cfg));
+        m = fromBatteryResult(
+            stage ? core::simulateBatteryDay(module, *stage, unit.workload,
+                                             grid.batteryDerating, cfg)
+                  : core::simulateBatteryDay(module, dayTrace(unit),
+                                             unit.workload,
+                                             grid.batteryDerating, cfg));
     } else {
         cfg.policy = toSimPolicy(unit.policy);
         m = fromDayResult(
-            core::simulateDay(module, day_trace, unit.workload, cfg));
+            stage ? core::simulateDay(module, *stage, unit.workload, cfg)
+                  : core::simulateDay(module, dayTrace(unit), unit.workload,
+                                      cfg));
     }
     if (audit) {
         m.auditViolations = static_cast<double>(audit->violationCount());
@@ -133,6 +152,127 @@ runUnit(const ScenarioUnit &unit, const ScenarioGrid &grid,
             audit->foldInto(*stats);
     }
     return m;
+}
+
+/** A day of the table: the tasks that replay it and, once the first
+ *  of them acquired it, its stage. */
+struct SharedDays::Day
+{
+    std::size_t firstTask = 0;   //!< its unit names the day
+    bool panelConstants = false; //!< >= 2 of its tasks track the MPP
+    std::once_flag staged;
+    std::atomic<std::size_t> leases{0}; //!< tasks yet to release it
+    std::unique_ptr<core::DayStage> stage;
+};
+
+SharedDays::Lease::Lease(Lease &&other) noexcept
+    : owner_(other.owner_), day_(other.day_)
+{
+    other.day_ = nullptr;
+}
+
+SharedDays::Lease::~Lease()
+{
+    // The last task of a day hands its stage back for the next day to
+    // restage: with tasks claimed day by day, only the days in flight
+    // hold a stage.
+    if (day_ && day_->leases.fetch_sub(1) == 1) {
+        std::lock_guard<std::mutex> lock(owner_->spareMutex_);
+        owner_->spare_.push_back(std::move(day_->stage));
+    }
+}
+
+const core::DayStage *
+SharedDays::Lease::stage() const
+{
+    return day_ ? day_->stage.get() : nullptr;
+}
+
+SharedDays::SharedDays(const ScenarioGrid &grid,
+                       const std::vector<ScenarioUnit> &units,
+                       std::span<const std::size_t> tasks)
+    : grid_(&grid), units_(&units), tasks_(tasks),
+      dayOf_(tasks.size(), nullptr), order_(tasks.size())
+{
+    // Count each day's tasks and MPPT tasks, then lay the tasks out day
+    // by day (days in grid order, tasks in order within a day).
+    struct Tally
+    {
+        std::size_t tasks = 0;
+        std::size_t mppt = 0;
+        std::size_t next = 0; //!< its next slot in order_
+        Day *shared = nullptr;
+    };
+    std::vector<Tally> tally(dayCount(grid));
+    for (const std::size_t i : tasks) {
+        const ScenarioUnit &unit = units[i];
+        SC_ASSERT(unit.day >= 0 &&
+                      static_cast<std::size_t>(unit.day) < tally.size(),
+                  "SharedDays: unit not of this grid");
+        Tally &day = tally[static_cast<std::size_t>(unit.day)];
+        ++day.tasks;
+        if (unit.policy != CampaignPolicy::FixedPower &&
+            unit.policy != CampaignPolicy::Battery)
+            ++day.mppt;
+    }
+    std::size_t slot = 0;
+    std::size_t shared = 0;
+    for (Tally &day : tally) {
+        day.next = slot;
+        slot += day.tasks;
+        shared += day.tasks >= 2 ? 1 : 0;
+    }
+    auto tally_of = [&](std::size_t t) -> Tally & {
+        return tally[static_cast<std::size_t>(units[tasks[t]].day)];
+    };
+    for (std::size_t t = 0; t < tasks.size(); ++t)
+        order_[tally_of(t).next++] = t;
+
+    // A day with two or more tasks is shared.
+    days_ = std::make_unique<Day[]>(shared);
+    std::size_t k = 0;
+    for (Tally &day : tally) {
+        if (day.tasks < 2)
+            continue;
+        Day &entry = days_[k++];
+        entry.firstTask = order_[day.next - day.tasks];
+        entry.leases = day.tasks;
+        entry.panelConstants = day.mppt >= 2;
+        day.shared = &entry;
+    }
+    for (std::size_t t = 0; t < tasks.size(); ++t)
+        dayOf_[t] = tally_of(t).shared;
+}
+
+SharedDays::~SharedDays() = default;
+
+SharedDays::Lease
+SharedDays::acquire(std::size_t t)
+{
+    Lease lease;
+    Day *const day = dayOf_[t];
+    if (!day)
+        return lease;
+    SC_PROFILE_SCOPE("day.stage");
+    std::call_once(day->staged, [&] {
+        std::unique_ptr<core::DayStage> stage;
+        {
+            std::lock_guard<std::mutex> lock(spareMutex_);
+            if (!spare_.empty()) {
+                stage = std::move(spare_.back());
+                spare_.pop_back();
+            }
+        }
+        if (!stage)
+            stage = std::make_unique<core::DayStage>();
+        const ScenarioUnit &unit = (*units_)[tasks_[day->firstTask]];
+        core::stageDay(*stage, campaignModule(), dayTrace(unit),
+                       grid_->dtSeconds, 1, 1, day->panelConstants);
+        day->stage = std::move(stage);
+    });
+    lease.owner_ = this;
+    lease.day_ = day;
+    return lease;
 }
 
 CampaignOutcome
@@ -432,7 +572,12 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
     std::vector<std::unique_ptr<obs::Profiler>> profs(inproc.size());
     std::vector<std::unique_ptr<obs::Auditor>> audits(inproc.size());
 
-    pool.parallelFor(inproc.size(), [&](std::size_t t) {
+    // Tasks are claimed day by day (SharedDays::order), but every sink
+    // and result slot stays indexed by task, so the outputs do not
+    // depend on the claim order.
+    SharedDays days(grid, outcome.units, inproc);
+    pool.parallelFor(inproc.size(), [&](std::size_t k) {
+        const std::size_t t = days.order()[k];
         const std::size_t i = inproc[t];
         const std::string key = unitKey(outcome.units[i]);
         const bool fresh = !reported[i];
@@ -457,13 +602,14 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
             if (profs[t])
                 attach.emplace(profs[t].get());
             SC_PROFILE_SCOPE("campaign.unit");
+            const SharedDays::Lease lease = days.acquire(t);
             // One workspace per pool thread: per-day step buffers keep
             // their capacity across every unit this thread simulates.
             static thread_local core::SimWorkspace workspace;
             outcome.results[i] =
                 runUnit(outcome.units[i], grid, regs[t].get(),
                         tbufs[t].get(), telems[t].get(), audits[t].get(),
-                        &workspace);
+                        &workspace, lease.stage());
         }
         obs::FlightRecorder::endUnit();
         if (want_spans) {

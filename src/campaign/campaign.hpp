@@ -16,7 +16,11 @@
 #ifndef SOLARCORE_CAMPAIGN_CAMPAIGN_HPP
 #define SOLARCORE_CAMPAIGN_CAMPAIGN_HPP
 
+#include <cstddef>
 #include <iosfwd>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,8 +29,9 @@
 #include "obs/obs_options.hpp"
 
 namespace solarcore::core {
+struct DayStage;
 struct SimWorkspace;
-}
+} // namespace solarcore::core
 
 namespace solarcore::campaign {
 
@@ -81,14 +86,100 @@ struct CampaignOutcome
  * @p audit contributes the unit's violation count to the returned
  * metrics and folds audit.* counters into @p stats. A non-null
  * @p workspace supplies reusable per-step buffers (one per worker
- * thread) so steady-state unit simulation is allocation-free.
+ * thread) so steady-state unit simulation is allocation-free. A
+ * non-null @p stage is the unit's day, staged by SharedDays; without
+ * one the unit stages its own day into the workspace. Both give the
+ * same bits.
  */
 UnitMetrics runUnit(const ScenarioUnit &unit, const ScenarioGrid &grid,
                     obs::StatsRegistry *stats = nullptr,
                     obs::TraceBuffer *trace = nullptr,
                     obs::TelemetryRecorder *telemetry = nullptr,
                     obs::Auditor *audit = nullptr,
-                    core::SimWorkspace *workspace = nullptr);
+                    core::SimWorkspace *workspace = nullptr,
+                    const core::DayStage *stage = nullptr);
+
+/**
+ * One run's (or one request's) table of shared day stages. Every
+ * (site, month, seed) day is replayed by each policy and workload of
+ * the grid, and its stage -- the trace, every step's environment and
+ * batched MPP, and the controller's panel constants -- depends on the
+ * day alone. SharedDays groups the tasks of a run by day:
+ *
+ *  - a day with two or more tasks is staged once, by the first task
+ *    that acquires it (the others wait for it), and released for
+ *    reuse by a later day when its last task releases its lease;
+ *  - it carries panel constants only when two or more of its tasks
+ *    are MPPT policies: a stage prepares every step, one MPPT unit
+ *    pinning lazily only its on-solar steps;
+ *  - a day with one task is not shared: its unit stages into its own
+ *    workspace, as a lone runUnit does.
+ *
+ * order() claims the tasks day by day, so with a pool claiming in
+ * that order at most about one day per thread is live. A stage is a
+ * pure function of the day, the grid's dt and the selected PV kernel,
+ * so results do not depend on which thread builds it. Thread-safe.
+ */
+class SharedDays
+{
+    struct Day;
+
+  public:
+    /** A task's hold on its day's stage; releases it on destruction. */
+    class Lease
+    {
+      public:
+        Lease() = default;
+        Lease(Lease &&other) noexcept;
+        Lease &operator=(Lease &&) = delete;
+        ~Lease();
+
+        /** The shared stage, or null for a day that is not shared. */
+        const core::DayStage *stage() const;
+
+      private:
+        friend class SharedDays;
+        SharedDays *owner_ = nullptr;
+        Day *day_ = nullptr;
+    };
+
+    /**
+     * @param units expandGrid(@p grid)
+     * @param tasks indices into @p units of the units to simulate;
+     *              must outlive this table
+     */
+    SharedDays(const ScenarioGrid &grid,
+               const std::vector<ScenarioUnit> &units,
+               std::span<const std::size_t> tasks);
+    ~SharedDays();
+
+    SharedDays(const SharedDays &) = delete;
+    SharedDays &operator=(const SharedDays &) = delete;
+
+    /** Task positions (into tasks) in claim order: day by day, days
+     *  in grid order (ScenarioUnit::day), tasks in order within a day. */
+    const std::vector<std::size_t> &order() const { return order_; }
+
+    /**
+     * The lease of task position @p t: builds its day's stage if no
+     * task did yet, or waits while another thread builds it. Runs
+     * under the profiler scope "day.stage".
+     */
+    Lease acquire(std::size_t t);
+
+  private:
+    const ScenarioGrid *grid_;
+    const std::vector<ScenarioUnit> *units_;
+    std::span<const std::size_t> tasks_;
+    std::unique_ptr<Day[]> days_; //!< the shared days
+    std::vector<Day *> dayOf_;    //!< per task; null = not shared
+    std::vector<std::size_t> order_;
+    //! Stages whose day is done, kept for their capacity: the next day
+    //! to be built restages one, so the table allocates only as many
+    //! stages as are ever live at once, whichever threads build them.
+    std::mutex spareMutex_;
+    std::vector<std::unique_ptr<core::DayStage>> spare_;
+};
 
 /** Expand, shard, execute (resuming if asked) and aggregate @p grid. */
 CampaignOutcome runCampaign(const ScenarioGrid &grid,

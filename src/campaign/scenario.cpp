@@ -100,14 +100,27 @@ expandGrid(const ScenarioGrid &grid)
     std::vector<ScenarioUnit> units;
     units.reserve(grid.unitCount());
     int index = 0;
-    for (const auto site : grid.sites)
-        for (const auto month : grid.months)
-            for (const auto policy : grid.policies)
-                for (const auto wl : grid.workloads)
+    int site_month = 0;
+    for (const auto site : grid.sites) {
+        for (const auto month : grid.months) {
+            for (const auto policy : grid.policies) {
+                for (const auto wl : grid.workloads) {
+                    int day = site_month * static_cast<int>(grid.seeds.size());
                     for (const auto seed : grid.seeds)
                         units.push_back(
-                            {index++, site, month, policy, wl, seed});
+                            {index++, day++, site, month, policy, wl, seed});
+                }
+            }
+            ++site_month;
+        }
+    }
     return units;
+}
+
+std::size_t
+dayCount(const ScenarioGrid &grid)
+{
+    return grid.sites.size() * grid.months.size() * grid.seeds.size();
 }
 
 std::string

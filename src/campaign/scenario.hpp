@@ -91,6 +91,10 @@ std::string validateGrid(const ScenarioGrid &grid);
 struct ScenarioUnit
 {
     int index = -1;                //!< position in the expanded grid
+    int day = -1;                  //!< its (site, month, seed) day in
+                                   //!< [0, dayCount(grid)): site-major,
+                                   //!< then month, then seed; every
+                                   //!< policy and workload replays it
     solar::SiteId site = solar::SiteId::AZ;
     solar::Month month = solar::Month::Jan;
     CampaignPolicy policy = CampaignPolicy::MpptOpt;
@@ -103,6 +107,9 @@ struct ScenarioUnit
  * month, policy, workload, seed -- the paper's site-major table order.
  */
 std::vector<ScenarioUnit> expandGrid(const ScenarioGrid &grid);
+
+/** Number of (site, month, seed) days @p grid replays. */
+std::size_t dayCount(const ScenarioGrid &grid);
 
 /** Human/journal key, e.g. "AZ-Jan-opt-HM2-s1". */
 std::string unitKey(const ScenarioUnit &unit);

@@ -162,8 +162,14 @@ runWorkerShard(int fd, int worker_id, const ScenarioGrid &grid,
         std::mutex write_mutex;
         bool write_failed = false;
 
+        // The shard shares the days its own slice replays; tasks are
+        // claimed day by day, outputs stay indexed by task.
+        SharedDays days(grid, units,
+                        std::span<const std::size_t>(pending).subspan(begin,
+                                                                      n));
         ThreadPool pool(options.threads);
-        pool.parallelFor(n, [&](std::size_t t) {
+        pool.parallelFor(n, [&](std::size_t k) {
+            const std::size_t t = days.order()[k];
             const std::size_t i = pending[begin + t];
             if (want_stats)
                 regs[t] = std::make_unique<obs::StatsRegistry>();
@@ -173,9 +179,12 @@ runWorkerShard(int fd, int worker_id, const ScenarioGrid &grid,
             // their capacity across the whole shard.
             static thread_local core::SimWorkspace workspace;
             const std::int64_t t0 = want_spans ? obs::spanNowNs() : 0;
-            const UnitMetrics m =
-                runUnit(units[i], grid, regs[t].get(), nullptr, nullptr,
-                        audits[t].get(), &workspace);
+            UnitMetrics m;
+            {
+                const SharedDays::Lease lease = days.acquire(t);
+                m = runUnit(units[i], grid, regs[t].get(), nullptr, nullptr,
+                            audits[t].get(), &workspace, lease.stage());
+            }
             const std::string frame =
                 packUnitFrame(static_cast<std::uint32_t>(i), m);
             std::string span_frame;

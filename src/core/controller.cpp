@@ -21,21 +21,41 @@ SolarCoreController::SolarCoreController(const pv::IvSource &panel,
               "controller: bad margin");
 }
 
+pv::PreparedArray &
+SolarCoreController::preparedArray()
+{
+    if (!prepared_) {
+        prepared_.emplace(arrayPanel_->module(),
+                          arrayPanel_->modulesSeries(),
+                          arrayPanel_->modulesParallel());
+    }
+    return *prepared_;
+}
+
+void
+SolarCoreController::stagePanel(const pv::PreparedEnvironment &state)
+{
+    if (!preparedPath())
+        return;
+    const pv::Environment &env = arrayPanel_->environment();
+    SC_ASSERT(state.env.irradiance == env.irradiance &&
+                  state.env.cellTempC == env.cellTempC,
+              "stagePanel: state prepared for another environment");
+    preparedArray().adopt(state);
+}
+
 power::NetworkState
 SolarCoreController::pinRail(double demand_w)
 {
     // Non-uniform panels (partial shading / composite strings) and the
     // Newton oracle keep the legacy call sequence, which doubles as the
     // measurable parity baseline. The PV kernel choice does not enter
-    // here: it governs findMppBatch alone.
-    if (arrayPanel_ && !pv::newtonIvSolve()) {
-        if (!prepared_) {
-            prepared_.emplace(arrayPanel_->module(),
-                              arrayPanel_->modulesSeries(),
-                              arrayPanel_->modulesParallel());
-        }
-        prepared_->setEnvironment(arrayPanel_->environment());
-        return power::pinRailVoltage(*prepared_, converter_,
+    // here: it governs findMppBatch alone. After stagePanel() the
+    // environment is already in place and setEnvironment is a no-op.
+    if (preparedPath()) {
+        pv::PreparedArray &prepared = preparedArray();
+        prepared.setEnvironment(arrayPanel_->environment());
+        return power::pinRailVoltage(prepared, converter_,
                                      config_.railNominalV, demand_w);
     }
     return power::pinRailVoltage(*panel_, converter_, config_.railNominalV,

@@ -34,6 +34,7 @@
 #include "power/operating_point.hpp"
 #include "power/sensors.hpp"
 #include "pv/module.hpp"
+#include "pv/pv_kernel.hpp"
 
 namespace solarcore::obs {
 class TraceBuffer;
@@ -103,6 +104,17 @@ class SolarCoreController
      */
     TrackResult enforceRail();
 
+    /**
+     * Install a staged panel state for the coming step, so no pin of
+     * the step prepares the environment again. @p state must be
+     * PreparedArray::prepare() of the panel's present environment, on
+     * the same module and arrangement; the warm seed of the pin solver
+     * carries over as it does when a pin prepares the state itself. A
+     * no-op for a non-uniform panel and under the Newton oracle, which
+     * keep the legacy pin path.
+     */
+    void stagePanel(const pv::PreparedEnvironment &state);
+
     /** Total notches moved since construction (controller activity). */
     long totalSteps() const { return totalSteps_; }
 
@@ -131,10 +143,20 @@ class SolarCoreController
      * uniform PvArray (and the Newton oracle is off), this routes
      * through the PreparedArray fast path -- the per-environment
      * constants and the MPP are derived once per environment change
-     * instead of once per probe -- under every PV kernel. Otherwise
-     * it is exactly the legacy pinRailVoltage call.
+     * (or staged by stagePanel) instead of once per probe -- under
+     * every PV kernel. Otherwise it is exactly the legacy
+     * pinRailVoltage call.
      */
     power::NetworkState pinRail(double demand_w);
+
+    /** True when pins take the PreparedArray path. */
+    bool preparedPath() const
+    {
+        return arrayPanel_ != nullptr && !pv::newtonIvSolve();
+    }
+
+    /** The uniform panel's PreparedArray, built on first use. */
+    pv::PreparedArray &preparedArray();
 
     /** Shed load until sustainable; fills @p result. */
     void shedUntilSustainable(TrackResult &result);

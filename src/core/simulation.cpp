@@ -146,60 +146,15 @@ selectWorkspace(std::optional<SimWorkspace> &local, const SimConfig &cfg)
     return *local;
 }
 
-/**
- * The day's step grid: step i runs at minute start + i * dt for
- * i < floor(window / dt) + 1, the sampling formula of
- * solar::generateDayTrace. Stepping on an integer index keeps the
- * window's last step, which accumulating minute += dt can drop when
- * dt is not a binary fraction of a minute (e.g. 20 s).
- */
-struct StepGrid
+/** Stage @p trace into the workspace for a day run under @p cfg. */
+const DayStage &
+stageIntoWorkspace(SimWorkspace &ws, const pv::PvModule &module,
+                   const solar::SolarTrace &trace, const SimConfig &cfg)
 {
-    double startMinute = 0.0;
-    double dtMinutes = 0.0;
-    std::size_t steps = 0;
-
-    double minute(std::size_t i) const
-    {
-        return startMinute + static_cast<double>(i) * dtMinutes;
-    }
-};
-
-StepGrid
-stepGrid(const solar::SolarTrace &trace, double dt_seconds)
-{
-    StepGrid grid;
-    grid.startMinute = trace.startMinute();
-    grid.dtMinutes = dt_seconds / 60.0;
-    grid.steps = static_cast<std::size_t>(std::floor(
-                     (trace.endMinute() - trace.startMinute()) /
-                     grid.dtMinutes)) +
-        1;
-    return grid;
-}
-
-/**
- * Stage the environment of every step of @p grid into @p ws and solve
- * their MPPs in one findMppBatch call, so step i of the day loop reads
- * stepEnvs[i] and stepMpps[i]. assign()/clear() reset contents but
- * keep capacity: with a reused workspace this allocates only when the
- * trace grows.
- */
-void
-stageStepMpps(SimWorkspace &ws, const pv::PvModule &module,
-              const solar::SolarTrace &trace, const StepGrid &grid,
-              const SimConfig &cfg)
-{
-    ws.stepEnvs.clear();
-    for (std::size_t i = 0; i < grid.steps; ++i) {
-        const double minute = grid.minute(i);
-        const double g = trace.irradianceAt(minute);
-        const double ambient = trace.ambientAt(minute);
-        ws.stepEnvs.push_back({g, module.cellTempFromAmbient(ambient, g)});
-    }
-    ws.stepMpps.assign(ws.stepEnvs.size(), pv::MppResult{});
-    pv::findMppBatch(module, cfg.modulesSeries, cfg.modulesParallel,
-                     ws.stepEnvs, ws.stepMpps);
+    SC_PROFILE_SCOPE("day.stage");
+    stageDay(ws.stage, module, trace, cfg.dtSeconds, cfg.modulesSeries,
+             cfg.modulesParallel, /*panel_constants=*/false);
+    return ws.stage;
 }
 
 /**
@@ -339,7 +294,7 @@ struct DayRun
 };
 
 /**
- * The day loop shared by all three drivers: replay @p trace on @p chip
+ * The day loop shared by all three drivers: replay @p stage on @p chip
  * under @p supply and the policy in @p cfg. DayResult::solarEnergyWh
  * is what the panel delivered (to the chip, and to the buffer as the
  * buffer absorbed it); for DeratedSupply it is the chip's draw from
@@ -347,9 +302,15 @@ struct DayRun
  */
 DayRun
 runDay(cpu::MultiCoreChip &chip, const pv::PvModule &module,
-       const solar::SolarTrace &trace, const SimConfig &cfg,
-       const Supply &supply)
+       const DayStage &stage, const SimConfig &cfg, const Supply &supply)
 {
+    SC_ASSERT(stage.dtSeconds == cfg.dtSeconds &&
+                  stage.modulesSeries == cfg.modulesSeries &&
+                  stage.modulesParallel == cfg.modulesParallel,
+              "runDay: stage staged for another dt or arrangement");
+    SC_ASSERT(stage.kernel == pv::selectedPvKernel() &&
+                  stage.newtonOracle == pv::newtonIvSolve(),
+              "runDay: stage staged under another PV kernel or oracle");
     const auto *const buffered = std::get_if<BufferedSupply>(&supply);
     const auto *const derated = std::get_if<DeratedSupply>(&supply);
     const bool panel = derated == nullptr; // per-step panel + ATS work
@@ -430,19 +391,14 @@ runDay(cpu::MultiCoreChip &chip, const pv::PvModule &module,
     ws.thermal.assign(static_cast<std::size_t>(chip.numCores()),
                       cpu::ThermalModel());
 
-    // Batched MPP precompute: the per-step environment is a pure
-    // function of the trace, so every per-step MPP solve collapses
-    // into one batched call. A lane's result does not depend on its
-    // batch position, and findMppBatch runs the per-step scalar path
-    // under the Scalar kernel or the Newton oracle.
-    const StepGrid grid = stepGrid(trace, cfg.dtSeconds);
-    stageStepMpps(ws, module, trace, grid, cfg);
-    for (const pv::MppResult &mpp : ws.stepMpps)
+    // The stage solved every step's MPP in one batched call; the
+    // energy sums run in step order, as the per-step solves did.
+    for (const pv::MppResult &mpp : stage.mpps)
         result.mppEnergyWh += mpp.power * cfg.dtSeconds / 3600.0;
+    const bool staged_panel = !stage.panel.empty();
 
     // Derated storage delivers its harvest evenly over the window.
-    const double day_hours =
-        (trace.endMinute() - trace.startMinute()) / 60.0;
+    const double day_hours = (stage.endMinute - stage.startMinute) / 60.0;
     const double alloc_budget_w = derated
         ? derated->deratingFactor * result.mppEnergyWh / day_hours
         : cfg.fixedBudgetW;
@@ -458,23 +414,27 @@ runDay(cpu::MultiCoreChip &chip, const pv::PvModule &module,
 
     chip.setAllLevels(chip.dvfs().maxLevel()); // boots on grid, full speed
 
-    for (std::size_t i = 0; i < grid.steps; ++i) {
+    for (std::size_t i = 0; i < stage.steps(); ++i) {
         SC_PROFILE_SCOPE("step");
-        const double minute = grid.minute(i);
+        const double minute = stage.minute(i);
         if (tbuf)
             tbuf->setNow(minute);
         power::NetworkState step_net; //!< solved state, when tracking
-        const pv::MppResult &mpp = ws.stepMpps[i];
-        result.thermalThrottles += stepDieTemps(
-            chip, ws.thermal, trace.ambientAt(minute), cfg);
+        const pv::MppResult &mpp = stage.mpps[i];
+        result.thermalThrottles +=
+            stepDieTemps(chip, ws.thermal, stage.ambientC[i], cfg);
         if (panel) {
-            array.setEnvironment(ws.stepEnvs[i]);
+            array.setEnvironment(stage.envs[i]);
             ats.update(mpp.power, cfg.dtSeconds);
         }
         bool on_solar = ats.onSolar();
         bool on_buffer = false;
 
         if (on_solar && tracking) {
+            // Every pin of this step finds the staged panel state
+            // already in place instead of preparing it on the first.
+            if (staged_panel)
+                controller->stagePanel(stage.panel[i]);
             const bool due =
                 minute - last_track_minute >= cfg.trackingPeriodMinutes;
             const bool supply_moved = last_track_budget > 0.0 &&
@@ -651,7 +611,7 @@ runDay(cpu::MultiCoreChip &chip, const pv::PvModule &module,
 
     close_period();
     if (audit && buffer) {
-        audit->setNow(trace.endMinute());
+        audit->setNow(stage.endMinute);
         audit->checkEnergyBalance(buffer->absorbedWh(), buffer->storedWh(),
                                   buffer->deliveredWh(), buffer->lostWh(),
                                   "battery ledger closure");
@@ -680,15 +640,75 @@ runDay(cpu::MultiCoreChip &chip, const pv::PvModule &module,
 
 } // namespace
 
+void
+stageDay(DayStage &stage, const pv::PvModule &module,
+         const solar::SolarTrace &trace, double dt_seconds,
+         int modules_series, int modules_parallel, bool panel_constants)
+{
+    SC_ASSERT(std::isfinite(dt_seconds) && dt_seconds > 0.0,
+              "stageDay: bad step");
+    SC_ASSERT(!trace.empty(), "stageDay: empty trace");
+    stage.dtSeconds = dt_seconds;
+    stage.dtMinutes = dt_seconds / 60.0;
+    stage.modulesSeries = modules_series;
+    stage.modulesParallel = modules_parallel;
+    stage.kernel = pv::selectedPvKernel();
+    stage.newtonOracle = pv::newtonIvSolve();
+    stage.startMinute = trace.startMinute();
+    stage.endMinute = trace.endMinute();
+
+    // The sampling formula of solar::generateDayTrace. Stepping on an
+    // integer index keeps the window's last step, which accumulating
+    // minute += dt can drop when dt is not a binary fraction of a
+    // minute (e.g. 20 s).
+    const auto steps = static_cast<std::size_t>(std::floor(
+                           (stage.endMinute - stage.startMinute) /
+                           stage.dtMinutes)) +
+        1;
+    stage.ambientC.clear();
+    stage.envs.clear();
+    for (std::size_t i = 0; i < steps; ++i) {
+        const double minute = stage.minute(i);
+        const double g = trace.irradianceAt(minute);
+        const double ambient = trace.ambientAt(minute);
+        stage.ambientC.push_back(ambient);
+        stage.envs.push_back({g, module.cellTempFromAmbient(ambient, g)});
+    }
+    // One batched call solves every step's MPP: a lane's result does
+    // not depend on its batch position, and findMppBatch runs the
+    // per-step scalar path under the Scalar kernel or the Newton
+    // oracle.
+    stage.mpps.assign(steps, pv::MppResult{});
+    pv::findMppBatch(module, modules_series, modules_parallel, stage.envs,
+                     stage.mpps);
+
+    stage.panel.clear();
+    if (panel_constants && !stage.newtonOracle) {
+        const pv::PreparedArray prepared(module, modules_series,
+                                         modules_parallel);
+        stage.panel.reserve(steps);
+        for (const pv::Environment &env : stage.envs)
+            stage.panel.push_back(prepared.prepare(env));
+    }
+}
+
 DayResult
 simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
             workload::WorkloadId workload, const SimConfig &cfg)
 {
-    SC_ASSERT(!trace.empty(), "simulateDay: empty trace");
-    SC_ASSERT(cfg.dtSeconds > 0.0, "simulateDay: bad step");
+    std::optional<SimWorkspace> local_ws;
+    SimWorkspace &ws = selectWorkspace(local_ws, cfg);
+    return simulateDay(module, stageIntoWorkspace(ws, module, trace, cfg),
+                       workload, cfg);
+}
+
+DayResult
+simulateDay(const pv::PvModule &module, const DayStage &stage,
+            workload::WorkloadId workload, const SimConfig &cfg)
+{
     SC_PROFILE_SCOPE("day");
     auto chip = buildChip(workload, cfg);
-    DayRun run = runDay(chip, module, trace, cfg, DirectSupply{});
+    DayRun run = runDay(chip, module, stage, cfg, DirectSupply{});
     if (cfg.stats)
         foldDayStats(*cfg.stats, run.day, chip);
     return std::move(run.day);
@@ -701,9 +721,12 @@ simulateHybridDay(const pv::PvModule &module, const solar::SolarTrace &trace,
 {
     SC_ASSERT(battery_capacity_wh >= 0.0,
               "simulateHybridDay: negative capacity");
+    std::optional<SimWorkspace> local_ws;
+    SimWorkspace &ws = selectWorkspace(local_ws, cfg);
+    const DayStage &stage = stageIntoWorkspace(ws, module, trace, cfg);
     SC_PROFILE_SCOPE("day");
     auto chip = buildChip(workload, cfg);
-    DayRun run = runDay(chip, module, trace, cfg,
+    DayRun run = runDay(chip, module, stage, cfg,
                         BufferedSupply{battery_capacity_wh});
     HybridDayResult result;
     result.day = std::move(run.day);
@@ -737,11 +760,23 @@ simulateBatteryDay(const pv::PvModule &module,
                    workload::WorkloadId workload, double derating_factor,
                    const SimConfig &cfg)
 {
+    std::optional<SimWorkspace> local_ws;
+    SimWorkspace &ws = selectWorkspace(local_ws, cfg);
+    return simulateBatteryDay(module,
+                              stageIntoWorkspace(ws, module, trace, cfg),
+                              workload, derating_factor, cfg);
+}
+
+BatteryDayResult
+simulateBatteryDay(const pv::PvModule &module, const DayStage &stage,
+                   workload::WorkloadId workload, double derating_factor,
+                   const SimConfig &cfg)
+{
     SC_ASSERT(derating_factor > 0.0 && derating_factor <= 1.0,
               "simulateBatteryDay: bad de-rating factor");
     SC_PROFILE_SCOPE("day");
     auto chip = buildChip(workload, cfg);
-    const DayRun run = runDay(chip, module, trace, cfg,
+    const DayRun run = runDay(chip, module, stage, cfg,
                               DeratedSupply{derating_factor});
     BatteryDayResult result;
     result.deratingFactor = derating_factor;

@@ -13,6 +13,11 @@
  * (simulateDay), the same plus a storage buffer (simulateHybridDay),
  * or derated storage at a stable budget (simulateBatteryDay). The
  * loop steps at minute start + i * dt for i < floor(window / dt) + 1.
+ *
+ * Every day runs from a DayStage. The trace overloads stage the day
+ * into the workspace first; the DayStage overloads replay a stage the
+ * caller built, which is how a campaign shares one stage among every
+ * unit of the same (site, month, seed) day. Both give the same bits.
  */
 
 #ifndef SOLARCORE_CORE_SIMULATION_HPP
@@ -28,6 +33,7 @@
 #include "obs/stats_registry.hpp"
 #include "pv/bp3180n.hpp"
 #include "pv/mpp.hpp"
+#include "pv/pv_kernel.hpp"
 #include "solar/trace.hpp"
 #include "workload/multiprogram.hpp"
 
@@ -40,20 +46,70 @@ class TraceBuffer;
 namespace solarcore::core {
 
 /**
- * Reusable scratch buffers for the day drivers. Each simulateDay /
- * simulateHybridDay / simulateBatteryDay call needs a per-step
- * environment/MPP staging area and one thermal model per core; with a
- * caller-owned workspace those buffers keep their capacity across
- * days, so a sweep over many units allocates only on its first day
- * (and on trace-length growth). The drivers reset the *contents*
- * every call -- a workspace carries no state between days, only
- * capacity -- which is what keeps results bit-identical with and
- * without one. Not thread-safe: one per worker.
+ * One day's per-step inputs, staged once from its trace: the step
+ * grid, the ambient temperature, the panel environment, the batched
+ * MPP (findMppBatch under the selected kernel) and, when staged with
+ * panel constants, the controller's scalar panel state
+ * (PreparedArray::prepare) of every step. A stage is a pure function
+ * of (trace, dt, arrangement, PV kernel, Newton-oracle flag), so it
+ * is the same whichever thread builds it, and once built it is only
+ * read: any number of units can replay it at once. The day drivers
+ * panic on a stage staged for another dt, arrangement, kernel or
+ * oracle setting than the day they run.
+ */
+struct DayStage
+{
+    double dtSeconds = 0.0;
+    int modulesSeries = 0;
+    int modulesParallel = 0;
+    pv::PvKernel kernel = pv::PvKernel::Scalar;
+    bool newtonOracle = false;
+    double dtMinutes = 0.0;
+    double startMinute = 0.0; //!< window start [minutes]
+    double endMinute = 0.0;   //!< window end [minutes]
+    std::vector<double> ambientC;        //!< per step
+    std::vector<pv::Environment> envs;   //!< per step
+    std::vector<pv::MppResult> mpps;     //!< per step, batched solve
+    //! Per step, or empty: the controller then prepares each step's
+    //! panel on its first pin, as a day run from a trace does.
+    std::vector<pv::PreparedEnvironment> panel;
+
+    std::size_t steps() const { return envs.size(); }
+
+    /** Minute of step @p i: start + i * dt. */
+    double minute(std::size_t i) const
+    {
+        return startMinute + static_cast<double>(i) * dtMinutes;
+    }
+};
+
+/**
+ * Stage @p trace into @p stage for a day at @p dt_seconds on a
+ * series-parallel array of @p module. Step i runs at minute start +
+ * i * dt for i < floor(window / dt) + 1. With @p panel_constants the
+ * stage also carries every step's PreparedArray::prepare() state,
+ * unless the Newton oracle is on (its controller keeps the legacy pin
+ * path). Asserts a finite dt > 0 and a non-empty trace. Contents are
+ * reset, capacity is kept.
+ */
+void stageDay(DayStage &stage, const pv::PvModule &module,
+              const solar::SolarTrace &trace, double dt_seconds,
+              int modules_series, int modules_parallel,
+              bool panel_constants);
+
+/**
+ * Reusable scratch buffers for the day drivers. Each day run from a
+ * trace is staged into `stage` (without panel constants), and every
+ * day needs one thermal model per core; with a caller-owned workspace
+ * those buffers keep their capacity across days, so a sweep over many
+ * units allocates only on its first day (and on trace-length growth).
+ * The drivers reset the *contents* every call -- a workspace carries
+ * no state between days, only capacity -- which is what keeps results
+ * bit-identical with and without one. Not thread-safe: one per worker.
  */
 struct SimWorkspace
 {
-    std::vector<pv::Environment> stepEnvs;
-    std::vector<pv::MppResult> stepMpps;
+    DayStage stage;
     std::vector<cpu::ThermalModel> thermal;
 };
 
@@ -191,6 +247,10 @@ DayResult simulateDay(const pv::PvModule &module,
                       const solar::SolarTrace &trace,
                       workload::WorkloadId workload, const SimConfig &cfg);
 
+/** simulateDay on a day staged by stageDay() from the same module. */
+DayResult simulateDay(const pv::PvModule &module, const DayStage &stage,
+                      workload::WorkloadId workload, const SimConfig &cfg);
+
 /** Result of the battery-equipped baseline. */
 struct BatteryDayResult
 {
@@ -243,6 +303,13 @@ HybridDayResult simulateHybridDay(const pv::PvModule &module,
  */
 BatteryDayResult simulateBatteryDay(const pv::PvModule &module,
                                     const solar::SolarTrace &trace,
+                                    workload::WorkloadId workload,
+                                    double derating_factor,
+                                    const SimConfig &cfg);
+
+/** simulateBatteryDay on a day staged by stageDay(). */
+BatteryDayResult simulateBatteryDay(const pv::PvModule &module,
+                                    const DayStage &stage,
                                     workload::WorkloadId workload,
                                     double derating_factor,
                                     const SimConfig &cfg);

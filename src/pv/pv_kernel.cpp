@@ -189,6 +189,7 @@ PreparedArray::PreparedArray(const PvModule &module, int modules_series,
       vScale_(static_cast<double>(module.cellsSeries() * modules_series)),
       iScale_(
           static_cast<double>(module.stringsParallel() * modules_parallel)),
+      rs_(module.cell().params().seriesRes),
       modulesSeries_(modules_series), cellsSeries_(module.cellsSeries()),
       stringsParallel_(module.stringsParallel()),
       modulesParallel_(modules_parallel)
@@ -197,35 +198,24 @@ PreparedArray::PreparedArray(const PvModule &module, int modules_series,
               "PreparedArray: arrangement must be positive");
 }
 
-void
-PreparedArray::setEnvironment(const Environment &env)
+PreparedEnvironment
+PreparedArray::prepare(const Environment &env) const
 {
-    if (prepared_ && env.irradiance == env_.irradiance &&
-        env.cellTempC == env_.cellTempC)
-        return;
-    env_ = env;
-    prepared_ = true;
-
-    vt_ = cell_.thermalVoltage(env.cellTempC);
-    i0_ = cell_.saturationCurrent(env.cellTempC);
-    rs_ = cell_.params().seriesRes;
-    dark_ = env.irradiance <= 0.0;
-    if (dark_) {
-        iph_ = 0.0;
-        a_ = i0_;
-        logC_ = 0.0;
-        vocCell_ = 0.0;
-        vocArray_ = 0.0;
-        mpp_ = MppResult{};
-        return;
+    PreparedEnvironment s;
+    s.env = env;
+    s.vt = cell_.thermalVoltage(env.cellTempC);
+    s.i0 = cell_.saturationCurrent(env.cellTempC);
+    s.dark = env.irradiance <= 0.0;
+    if (s.dark) {
+        s.a = s.i0;
+        return s;
     }
-    iph_ = cell_.photoCurrent(env);
-    a_ = iph_ + i0_;
-    logC_ = rs_ > 0.0
-        ? std::log(i0_ * rs_ / vt_) + a_ * rs_ / vt_
+    s.iph = cell_.photoCurrent(env);
+    s.a = s.iph + s.i0;
+    s.logC = rs_ > 0.0
+        ? std::log(s.i0 * rs_ / s.vt) + s.a * rs_ / s.vt
         : 0.0;
-    vocCell_ = cell_.openCircuitVoltage(env);
-    vocArray_ = vocCell_ * vScale_;
+    s.vocArray = cell_.openCircuitVoltage(env) * vScale_;
 
     // The MPP runs through the very same scalar calls findMpp(PvArray)
     // makes, so the feasibility threshold a pin decision compares
@@ -233,29 +223,44 @@ PreparedArray::setEnvironment(const Environment &env)
     // legacy path's.
     const double v_cell = cell_.mppVoltage(env);
     const double i_cell = std::max(0.0, cell_.currentAt(v_cell, env));
-    mpp_.voltage = v_cell * vScale_;
-    mpp_.current = i_cell * iScale_;
-    mpp_.power = mpp_.voltage * mpp_.current;
+    s.mpp.voltage = v_cell * vScale_;
+    s.mpp.current = i_cell * iScale_;
+    s.mpp.power = s.mpp.voltage * s.mpp.current;
 
     // w-space bracket of the stable branch [Vmpp, Voc] for the pin
     // solver: one cold Lambert solve at the MPP; the Voc end is exact
     // (I = 0 at w = A Rs / Vt).
     if (rs_ > 0.0) {
-        wMpp_ = lambertW0exp(logC_ + v_cell / vt_);
-        wVoc_ = a_ * rs_ / vt_;
-    } else {
-        wMpp_ = 0.0;
-        wVoc_ = 0.0;
+        s.wMpp = lambertW0exp(s.logC + v_cell / s.vt);
+        s.wVoc = s.a * rs_ / s.vt;
     }
+    return s;
+}
+
+void
+PreparedArray::adopt(const PreparedEnvironment &state)
+{
+    state_ = state;
+    prepared_ = true;
+}
+
+void
+PreparedArray::setEnvironment(const Environment &env)
+{
+    if (prepared_ && env.irradiance == state_.env.irradiance &&
+        env.cellTempC == state_.env.cellTempC)
+        return;
+    adopt(prepare(env));
 }
 
 double
 PreparedArray::cellCurrentAt(double v_cell) const
 {
-    if (dark_ || rs_ <= 0.0)
-        return iph_ - i0_ * std::expm1(v_cell / vt_);
-    const double w = lambertW0exp(logC_ + v_cell / vt_);
-    return a_ - w * vt_ / rs_;
+    const PreparedEnvironment &s = state_;
+    if (s.dark || rs_ <= 0.0)
+        return s.iph - s.i0 * std::expm1(v_cell / s.vt);
+    const double w = lambertW0exp(s.logC + v_cell / s.vt);
+    return s.a - w * s.vt / rs_;
 }
 
 double
@@ -277,7 +282,8 @@ PreparedArray::solveStableBranch(double p_array_w, double &v_array,
                                  double &i_array) const
 {
     SC_ASSERT(prepared_, "PreparedArray: no environment set");
-    if (dark_ || p_array_w > mpp_.power)
+    const PreparedEnvironment &s = state_;
+    if (s.dark || p_array_w > s.mpp.power)
         return false;
 
     if (rs_ <= 0.0) {
@@ -285,14 +291,14 @@ PreparedArray::solveStableBranch(double p_array_w, double &v_array,
         // the exact expm1 formulas, bisecting when a step degenerates
         // or escapes the bracket. f is monotone decreasing here with
         // f(Vmpp) >= 0 >= f(Voc), so the bracket never empties.
-        double lo = mpp_.voltage;
-        double hi = vocArray_;
+        double lo = s.mpp.voltage;
+        double hi = s.vocArray;
         double v = 0.5 * (lo + hi);
         const double slope_scale = iScale_ / vScale_;
         for (int it = 0; it < 60; ++it) {
             const double v_cell = v / modulesSeries_ / cellsSeries_;
-            const double i_cell = iph_ - i0_ * std::expm1(v_cell / vt_);
-            const double di_cell = -i0_ / vt_ * std::exp(v_cell / vt_);
+            const double i_cell = s.iph - s.i0 * std::expm1(v_cell / s.vt);
+            const double di_cell = -s.i0 / s.vt * std::exp(v_cell / s.vt);
             const double i = std::max(0.0, i_cell) * stringsParallel_ *
                 modulesParallel_;
             const double f = v * i - p_array_w;
@@ -328,14 +334,14 @@ PreparedArray::solveStableBranch(double p_array_w, double &v_array,
     // demands thousands of times between environment changes, so the
     // previous root -- while it still lies inside the fresh bracket --
     // beats the midpoint seed by several iterations.
-    double lo = wMpp_;
-    double hi = wVoc_;
+    double lo = s.wMpp;
+    double hi = s.wVoc;
     double w = (warmW_ > lo && warmW_ < hi) ? warmW_ : 0.5 * (lo + hi);
-    const double s = vt_ / rs_;
+    const double slope = s.vt / rs_;
     for (int it = 0; it < 60; ++it) {
         const double y = w + std::log(w);
-        const double v = vScale_ * vt_ * (y - logC_);
-        const double i_cell = a_ - s * w;
+        const double v = vScale_ * s.vt * (y - s.logC);
+        const double i_cell = s.a - slope * w;
         const double i =
             std::max(0.0, i_cell) * stringsParallel_ * modulesParallel_;
         const double f = v * i - p_array_w;
@@ -346,7 +352,7 @@ PreparedArray::solveStableBranch(double p_array_w, double &v_array,
             hi = w;
 
         const double df =
-            vScale_ * vt_ * (1.0 + 1.0 / w) * i - v * iScale_ * s;
+            vScale_ * s.vt * (1.0 + 1.0 / w) * i - v * iScale_ * slope;
 
         double next = df != 0.0 ? w - f / df : 0.5 * (lo + hi);
         if (std::abs(next - w) <= 1e-13 * (1.0 + std::abs(w))) {
@@ -358,8 +364,8 @@ PreparedArray::solveStableBranch(double p_array_w, double &v_array,
         w = next;
     }
     warmW_ = w;
-    v_array = vScale_ * vt_ * (w + std::log(w) - logC_);
-    i_array = std::max(0.0, a_ - s * w) * stringsParallel_ *
+    v_array = vScale_ * s.vt * (w + std::log(w) - s.logC);
+    i_array = std::max(0.0, s.a - slope * w) * stringsParallel_ *
         modulesParallel_;
     return true;
 }

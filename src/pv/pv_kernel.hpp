@@ -14,10 +14,12 @@
  *     kernel (4-wide double vectors with polynomial exp/log) selected
  *     at runtime via CPUID; without AVX2 every lane takes the scalar
  *     findMpp(PvArray) path;
- *  2. PreparedArray caches one environment's derived constants so the
- *     controller's repeated pinRailVoltage() probes at a fixed
- *     environment cost a handful of warm Lambert evaluations instead
- *     of a full findMpp plus a 40-step std::function bisect each.
+ *  2. PreparedArray caches one environment's derived constants (a
+ *     PreparedEnvironment) so the controller's repeated
+ *     pinRailVoltage() probes at a fixed environment cost a handful
+ *     of warm Lambert evaluations instead of a full findMpp plus a
+ *     40-step std::function bisect each. A day stage prepares every
+ *     step once and shares the states with each unit replaying it.
  *
  * The kernel choice governs findMppBatch() alone. PvKernel::Scalar
  * keeps its untouched per-lane findMpp(PvArray) call sequence as the
@@ -89,10 +91,35 @@ void findMppBatch(const PvModule &module, int modules_series,
                   std::span<MppResult> out);
 
 /**
+ * One environment's derived state for a uniform PV array: the
+ * Lambert-W constants, the open-circuit voltage, the scalar MPP and
+ * the w-space bracket of the stable branch. PreparedArray::prepare()
+ * computes it as a pure function of the environment (and the array),
+ * so a day stage can prepare every step once and hand the same bits
+ * to every unit that replays the day.
+ */
+struct PreparedEnvironment
+{
+    Environment env{-1.0, -1000.0}; //!< sentinel: never a real env
+    bool dark = true;
+    double vt = 0.0;
+    double iph = 0.0;
+    double i0 = 0.0;
+    double a = 0.0;        //!< Iph + I0
+    double logC = 0.0;     //!< log(I0 Rs / Vt) + A Rs / Vt
+    double vocArray = 0.0; //!< array open-circuit voltage [V]
+    MppResult mpp;         //!< array MPP, findMpp(PvArray)'s own calls
+    double wMpp = 0.0; //!< Lambert w at the cell MPP voltage (Rs > 0)
+    double wVoc = 0.0; //!< Lambert w where I = 0: A Rs / Vt (Rs > 0)
+};
+
+/**
  * Per-environment prepared solver for one uniform PV array.
  *
- * setEnvironment() derives the Lambert-W constants (Vt, Iph, I0, the
- * log prefactor) and the analytic MPP once; currentAt() and
+ * prepare() derives the Lambert-W constants (Vt, Iph, I0, the log
+ * prefactor) and the analytic MPP of one environment; adopt()
+ * installs such a state, and setEnvironment() is adopt(prepare(env))
+ * when the environment bits changed. currentAt() and
  * solveStableBranch() then evaluate the single-diode curve with one
  * warm lambertW0exp() each. The controller's sustainable() probes and
  * rail pinning re-query the same environment dozens of times per
@@ -100,7 +127,8 @@ void findMppBatch(const PvModule &module, int modules_series,
  *
  * The MPP is computed with the same scalar code path findMpp(PvArray)
  * uses, so feasibility decisions (p_needed > mpp.power) are bitwise
- * identical to the legacy pin path.
+ * identical to the legacy pin path, whether the state was prepared
+ * here on the first pin of a step or staged once for the whole day.
  */
 class PreparedArray
 {
@@ -108,16 +136,27 @@ class PreparedArray
     PreparedArray(const PvModule &module, int modules_series,
                   int modules_parallel);
 
-    /** Rebind to @p env; a no-op when the bits are unchanged. */
+    /** The derived state of @p env; touches nothing in this array. */
+    PreparedEnvironment prepare(const Environment &env) const;
+
+    /**
+     * Install @p state, which must come from prepare() on an array of
+     * the same module and arrangement. The warm seed of the next
+     * stable-branch solve is kept, exactly as setEnvironment() keeps
+     * it.
+     */
+    void adopt(const PreparedEnvironment &state);
+
+    /** adopt(prepare(env)); a no-op when the bits are unchanged. */
     void setEnvironment(const Environment &env);
 
-    bool dark() const { return dark_; }
+    bool dark() const { return state_.dark; }
 
     /** Array open-circuit voltage at the prepared environment [V]. */
-    double openCircuitVoltage() const { return vocArray_; }
+    double openCircuitVoltage() const { return state_.vocArray; }
 
     /** Array-level MPP at the prepared environment. */
-    const MppResult &mpp() const { return mpp_; }
+    const MppResult &mpp() const { return state_.mpp; }
 
     /** Array terminal current at array voltage @p v_array [A]. */
     double currentAt(double v_array) const;
@@ -139,25 +178,14 @@ class PreparedArray
     SolarCell cell_;
     double vScale_; //!< cellsSeries * modulesSeries
     double iScale_; //!< stringsParallel * modulesParallel
+    double rs_;     //!< cell series resistance
     int modulesSeries_;
     int cellsSeries_;
     int stringsParallel_;
     int modulesParallel_;
 
-    Environment env_{-1.0, -1000.0}; //!< sentinel: never a real env
     bool prepared_ = false;
-    bool dark_ = true;
-    double vt_ = 0.0;
-    double iph_ = 0.0;
-    double i0_ = 0.0;
-    double a_ = 0.0;   //!< Iph + I0
-    double rs_ = 0.0;
-    double logC_ = 0.0; //!< log(I0 Rs / Vt) + A Rs / Vt
-    double vocCell_ = 0.0;
-    double vocArray_ = 0.0;
-    MppResult mpp_;
-    double wMpp_ = 0.0; //!< Lambert w at the cell MPP voltage (Rs > 0)
-    double wVoc_ = 0.0; //!< Lambert w where I = 0: A Rs / Vt (Rs > 0)
+    PreparedEnvironment state_;
     //! Previous stable-branch root (in w), seeding the next pin's
     //! Newton solve while it still lies inside the fresh bracket.
     mutable double warmW_ = -1.0;

@@ -660,37 +660,67 @@ Server::executeQueryWith(const Request &req, std::string &body,
     const std::vector<campaign::ScenarioUnit> units =
         campaign::expandGrid(grid);
 
-    std::vector<core::FleetGroupEnergy> groups;
-    groups.reserve(units.size());
+    // Unit-cache hits first; then the misses are simulated day by day,
+    // each day with two or more misses staged once for all of them;
+    // then the answer aggregates in unit order.
+    std::vector<campaign::UnitMetrics> metrics(units.size());
+    std::vector<std::size_t> misses;
+    misses.reserve(units.size());
     std::uint64_t simulated = 0;
     const auto service_start = std::chrono::steady_clock::now();
-    std::size_t unit_index = 0;
-    for (const campaign::ScenarioUnit &unit : units) {
-        if (req.hasDeadline &&
-            std::chrono::steady_clock::now() > req.deadline) {
+    auto deadline_passed = [&] {
+        return req.hasDeadline &&
+            std::chrono::steady_clock::now() > req.deadline;
+    };
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        if (deadline_passed()) {
             expired = true;
             return false;
         }
+        const std::int64_t lookup_ns = trace ? obs::spanNowNs() : 0;
+        if (!unitCache_ || !unitCache_->lookup(grid, units[i], metrics[i])) {
+            // A miss gets its unit span when it is simulated below.
+            misses.push_back(i);
+            continue;
+        }
+        unitsFromUnitCache_.fetch_add(1);
+        if (trace) {
+            const std::size_t span = trace->openSpan("unit", service_id);
+            if (obs::SpanRecord *s = trace->span(span)) {
+                s->startNs = lookup_ns; // the hit's span covers its lookup
+                s->attr("unit", static_cast<std::int64_t>(i));
+                s->attr("cache", "hit");
+                s->attr("kernel", resolvedKernel_.c_str());
+            }
+            trace->closeSpan(span);
+        }
+    }
+    campaign::SharedDays days(grid, units, misses);
+    for (const std::size_t t : days.order()) {
+        if (deadline_passed()) {
+            expired = true;
+            return false;
+        }
+        const std::size_t i = misses[t];
         obs::SpanScope unit_span(trace, "unit", service_id);
-        unit_span.attr("unit",
-                       static_cast<std::int64_t>(unit_index++));
-        campaign::UnitMetrics m;
-        bool cached = false;
-        if (unitCache_ && unitCache_->lookup(grid, unit, m)) {
-            cached = true;
-            unitsFromUnitCache_.fetch_add(1);
+        unit_span.attr("unit", static_cast<std::int64_t>(i));
+        {
+            const campaign::SharedDays::Lease lease = days.acquire(t);
+            metrics[i] = campaign::runUnit(units[i], grid, nullptr, nullptr,
+                                           nullptr, nullptr, &workspace,
+                                           lease.stage());
         }
-        if (!cached) {
-            m = campaign::runUnit(unit, grid, nullptr, nullptr, nullptr,
-                                  nullptr, &workspace);
-            unitsSimulated_.fetch_add(1);
-            ++simulated;
-            if (unitCache_)
-                unitCache_->store(grid, unit, m);
-        }
-        unit_span.attr("cache", cached ? "hit" : "miss");
+        unitsSimulated_.fetch_add(1);
+        ++simulated;
+        if (unitCache_)
+            unitCache_->store(grid, units[i], metrics[i]);
+        unit_span.attr("cache", "miss");
         unit_span.attr("kernel", resolvedKernel_.c_str());
-        unit_span.close();
+    }
+
+    std::vector<core::FleetGroupEnergy> groups;
+    groups.reserve(units.size());
+    for (const campaign::UnitMetrics &m : metrics) {
         core::FleetGroupEnergy g;
         g.nodeCount = static_cast<double>(req.query.nodesPerUnit);
         g.mppEnergyWh = m.mppEnergyWh;

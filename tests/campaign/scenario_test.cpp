@@ -45,6 +45,21 @@ TEST(Scenario, ExpansionIsSiteMajorAndDenselyIndexed)
     EXPECT_EQ(units[4].month, solar::Month::Jul);
     EXPECT_EQ(units[0].site, solar::SiteId::AZ);
     EXPECT_EQ(units[8].site, solar::SiteId::NC);
+
+    // Two units share a day index exactly when they replay the same
+    // (site, month, seed) day; days are numbered site-major.
+    ASSERT_EQ(dayCount(grid), 2u * 2u * 2u);
+    for (const auto &a : units) {
+        ASSERT_GE(a.day, 0);
+        ASSERT_LT(static_cast<std::size_t>(a.day), dayCount(grid));
+        for (const auto &b : units)
+            EXPECT_EQ(a.day == b.day, a.site == b.site &&
+                          a.month == b.month && a.seed == b.seed)
+                << unitKey(a) << " vs " << unitKey(b);
+    }
+    EXPECT_EQ(units[1].day, 1);  // AZ-Jan seed 7
+    EXPECT_EQ(units[4].day, 2);  // AZ-Jul seed 1
+    EXPECT_EQ(units[8].day, 4);  // NC-Jan seed 1
 }
 
 TEST(Scenario, UnitKeysAreUniqueAndReadable)

@@ -1,14 +1,23 @@
 /**
  * @file
  * Tests for the full-day simulation driver: conservation laws, metric
- * ranges, determinism, and the paper's qualitative policy ordering.
+ * ranges, determinism, the paper's qualitative policy ordering, the
+ * drivers' input checks, and bit-for-bit equality of a day replayed
+ * from a shared DayStage with the same day run from its trace.
  */
 
 #include <cmath>
+#include <cstring>
+#include <sstream>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "core/simulation.hpp"
+#include "obs/auditor.hpp"
+#include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 #include "power/battery.hpp"
 #include "pv/pv_kernel.hpp"
 
@@ -293,6 +302,335 @@ TEST(BatterySim, SolarCoreWithinBatteryBand)
     EXPECT_GT(sc.solarInstructions, 0.8 * bl.instructions);
     EXPECT_LT(sc.solarInstructions, 1.05 * bu.instructions);
 }
+
+TEST(SimulationDeathTest, EveryDriverRejectsABadStep)
+{
+    // stageDay, which every driver goes through, refuses the step
+    // before the step grid divides the window by it.
+    const auto module = pv::buildBp3180n();
+    const auto trace =
+        solar::generateDayTrace(solar::SiteId::AZ, solar::Month::Jan, 1);
+    for (double dt : {0.0, -15.0, std::nan("")}) {
+        SimConfig cfg;
+        cfg.dtSeconds = dt;
+        EXPECT_DEATH(simulateDay(module, trace, workload::WorkloadId::HM2,
+                                 cfg),
+                     "stageDay: bad step")
+            << "dt " << dt;
+        EXPECT_DEATH(simulateHybridDay(module, trace,
+                                       workload::WorkloadId::HM2, 10.0,
+                                       cfg),
+                     "stageDay: bad step")
+            << "dt " << dt;
+        EXPECT_DEATH(simulateBatteryDay(module, trace,
+                                        workload::WorkloadId::HM2, 0.92,
+                                        cfg),
+                     "stageDay: bad step")
+            << "dt " << dt;
+    }
+}
+
+TEST(SimulationDeathTest, EveryDriverRejectsAnEmptyTrace)
+{
+    const auto module = pv::buildBp3180n();
+    const solar::SolarTrace empty;
+    const SimConfig cfg;
+    EXPECT_DEATH(simulateDay(module, empty, workload::WorkloadId::HM2, cfg),
+                 "stageDay: empty trace");
+    EXPECT_DEATH(simulateHybridDay(module, empty, workload::WorkloadId::HM2,
+                                   10.0, cfg),
+                 "stageDay: empty trace");
+    EXPECT_DEATH(simulateBatteryDay(module, empty,
+                                    workload::WorkloadId::HM2, 0.92, cfg),
+                 "stageDay: empty trace");
+}
+
+TEST(SimulationDeathTest, StageMustMatchTheDayItReplays)
+{
+    const pv::PvKernel saved = pv::selectedPvKernel();
+    const auto module = pv::buildBp3180n();
+    const auto trace =
+        solar::generateDayTrace(solar::SiteId::NC, solar::Month::Jul, 7);
+    pv::setPvKernel(pv::PvKernel::Scalar);
+    DayStage stage;
+    stageDay(stage, module, trace, 60.0, 1, 1, true);
+
+    SimConfig cfg = fastConfig();
+    cfg.dtSeconds = 30.0;
+    EXPECT_DEATH(simulateDay(module, stage, workload::WorkloadId::HM2, cfg),
+                 "another dt or arrangement");
+    EXPECT_DEATH(simulateBatteryDay(module, stage,
+                                    workload::WorkloadId::HM2, 0.92, cfg),
+                 "another dt or arrangement");
+    cfg = fastConfig();
+    cfg.modulesParallel = 2;
+    EXPECT_DEATH(simulateDay(module, stage, workload::WorkloadId::HM2, cfg),
+                 "another dt or arrangement");
+    cfg = fastConfig();
+    if (pv::pvKernelSupported(pv::PvKernel::Avx2)) {
+        pv::setPvKernel(pv::PvKernel::Avx2);
+        EXPECT_DEATH(simulateDay(module, stage, workload::WorkloadId::HM2,
+                                 cfg),
+                     "another PV kernel or oracle");
+        pv::setPvKernel(pv::PvKernel::Scalar);
+    }
+    pv::setNewtonIvSolve(true);
+    EXPECT_DEATH(simulateDay(module, stage, workload::WorkloadId::HM2, cfg),
+                 "another PV kernel or oracle");
+    pv::setNewtonIvSolve(false);
+    pv::setPvKernel(saved);
+}
+
+/** Bitwise equality of two doubles. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** Every recording sink a day driver feeds, rendered to bytes. */
+struct SinkSet
+{
+    obs::StatsRegistry stats;
+    obs::TraceBuffer trace;
+    obs::TelemetryRecorder telemetry{1};
+    obs::Auditor audit;
+
+    SimConfig
+    attach(SimConfig cfg)
+    {
+        cfg.stats = &stats;
+        cfg.trace = &trace;
+        cfg.telemetry = &telemetry;
+        cfg.audit = &audit;
+        cfg.recordTimeline = true;
+        return cfg;
+    }
+
+    std::string
+    render()
+    {
+        std::ostringstream os;
+        stats.dumpJson(os);
+        os << "\n--\n" << trace.dropped() << '\n';
+        obs::exportJsonl(trace.events(), os);
+        os << "\n--\n";
+        telemetry.writeCsv(os);
+        os << "\n--\n";
+        audit.writeJson(os);
+        return os.str();
+    }
+};
+
+/** DayResult fields compared bit for bit, the timeline included. */
+void
+expectSameDay(const DayResult &a, const DayResult &b)
+{
+    for (const auto &[x, y, name] :
+         {std::tuple{a.mppEnergyWh, b.mppEnergyWh, "mppEnergyWh"},
+          {a.solarEnergyWh, b.solarEnergyWh, "solarEnergyWh"},
+          {a.gridEnergyWh, b.gridEnergyWh, "gridEnergyWh"},
+          {a.chipEnergyWh, b.chipEnergyWh, "chipEnergyWh"},
+          {a.utilization, b.utilization, "utilization"},
+          {a.effectiveFraction, b.effectiveFraction, "effectiveFraction"},
+          {a.solarInstructions, b.solarInstructions, "solarInstructions"},
+          {a.totalInstructions, b.totalInstructions, "totalInstructions"},
+          {a.avgTrackingError, b.avgTrackingError, "avgTrackingError"}})
+        EXPECT_TRUE(sameBits(x, y)) << name << ": " << x << " vs " << y;
+    EXPECT_EQ(a.transferCount, b.transferCount);
+    EXPECT_EQ(a.thermalThrottles, b.thermalThrottles);
+    EXPECT_EQ(a.retracks, b.retracks);
+    EXPECT_EQ(a.controllerSteps, b.controllerSteps);
+    ASSERT_EQ(a.timeline.size(), b.timeline.size());
+    for (std::size_t i = 0; i < a.timeline.size(); ++i) {
+        const TimelinePoint &p = a.timeline[i];
+        const TimelinePoint &q = b.timeline[i];
+        EXPECT_TRUE(sameBits(p.minute, q.minute) &&
+                    sameBits(p.budgetW, q.budgetW) &&
+                    sameBits(p.consumedW, q.consumedW) &&
+                    p.onSolar == q.onSolar)
+            << "timeline point " << i;
+    }
+}
+
+void
+expectSameBatteryDay(const BatteryDayResult &a, const BatteryDayResult &b)
+{
+    for (const auto &[x, y, name] :
+         {std::tuple{a.deratingFactor, b.deratingFactor, "deratingFactor"},
+          {a.budgetW, b.budgetW, "budgetW"},
+          {a.instructions, b.instructions, "instructions"},
+          {a.mppEnergyWh, b.mppEnergyWh, "mppEnergyWh"},
+          {a.consumedWh, b.consumedWh, "consumedWh"},
+          {a.utilization, b.utilization, "utilization"}})
+        EXPECT_TRUE(sameBits(x, y)) << name << ": " << x << " vs " << y;
+}
+
+/** The panel states of @p stage are exactly prepare() of its steps. */
+void
+expectStagedPanelIsPrepare(const DayStage &stage, const pv::PvModule &module)
+{
+    if (pv::newtonIvSolve()) {
+        EXPECT_TRUE(stage.panel.empty()); // the oracle pins lazily
+        return;
+    }
+    ASSERT_EQ(stage.panel.size(), stage.steps());
+    const pv::PreparedArray array(module, 1, 1);
+    for (std::size_t i = 0; i < stage.steps(); ++i) {
+        const pv::PreparedEnvironment want = array.prepare(stage.envs[i]);
+        const pv::PreparedEnvironment &got = stage.panel[i];
+        const bool same = got.dark == want.dark &&
+            sameBits(got.env.irradiance, want.env.irradiance) &&
+            sameBits(got.env.cellTempC, want.env.cellTempC) &&
+            sameBits(got.vt, want.vt) && sameBits(got.iph, want.iph) &&
+            sameBits(got.i0, want.i0) && sameBits(got.a, want.a) &&
+            sameBits(got.logC, want.logC) &&
+            sameBits(got.vocArray, want.vocArray) &&
+            sameBits(got.mpp.voltage, want.mpp.voltage) &&
+            sameBits(got.mpp.current, want.mpp.current) &&
+            sameBits(got.mpp.power, want.mpp.power) &&
+            sameBits(got.wMpp, want.wMpp) && sameBits(got.wVoc, want.wVoc);
+        ASSERT_TRUE(same) << "staged panel state of step " << i;
+    }
+}
+
+/** How the PV layer solves: the dispatched kernel, the Scalar kernel,
+ *  or the Newton oracle (under the Scalar kernel). */
+enum class PvMode
+{
+    Dispatched,
+    Scalar,
+    Newton,
+};
+
+/** A day of the grid: site and month. */
+using SiteMonth = std::pair<solar::SiteId, solar::Month>;
+
+class StagedDay : public ::testing::TestWithParam<
+                      std::tuple<PvMode, double, SiteMonth>>
+{
+  protected:
+    void SetUp() override
+    {
+        const PvMode mode = std::get<0>(GetParam());
+        pv::setPvKernel(mode == PvMode::Dispatched ? pv::detectPvKernel()
+                                                   : pv::PvKernel::Scalar);
+        pv::setNewtonIvSolve(mode == PvMode::Newton);
+    }
+
+    void TearDown() override
+    {
+        pv::setNewtonIvSolve(false);
+        pv::setPvKernel(saved_);
+    }
+
+  private:
+    pv::PvKernel saved_ = pv::selectedPvKernel();
+};
+
+TEST_P(StagedDay, EqualsTheDayRunFromItsTrace)
+{
+    // Every campaign policy (battery included), three mixes, two days
+    // and two seeds: the stage overloads, with the controller's panel
+    // constants staged, must give the trace overloads' DayResult and
+    // every sink's bytes.
+    const double dt = std::get<1>(GetParam());
+    const auto [site, month] = std::get<2>(GetParam());
+    const auto module = pv::buildBp3180n();
+    const PolicyKind kPolicies[] = {PolicyKind::MpptOpt, PolicyKind::MpptRr,
+                                    PolicyKind::MpptIc,
+                                    PolicyKind::MpptIcMotion,
+                                    PolicyKind::FixedPower};
+    for (std::uint64_t seed : {1u, 7u}) {
+        const auto trace = solar::generateDayTrace(site, month, seed);
+        DayStage stage;
+        stageDay(stage, module, trace, dt, 1, 1, true);
+        expectStagedPanelIsPrepare(stage, module);
+        SimConfig base = fastConfig();
+        base.dtSeconds = dt;
+        base.seed = seed;
+        for (auto wl : {workload::WorkloadId::H1, workload::WorkloadId::HM2,
+                        workload::WorkloadId::L1}) {
+            SCOPED_TRACE(::testing::Message()
+                         << solar::siteName(site) << "-"
+                         << solar::monthName(month) << " seed " << seed
+                         << " " << workload::workloadName(wl) << " dt "
+                         << dt);
+            for (PolicyKind policy : kPolicies) {
+                SCOPED_TRACE(::testing::Message()
+                             << "policy " << static_cast<int>(policy));
+                base.policy = policy;
+                SinkSet lone, shared;
+                const DayResult a =
+                    simulateDay(module, trace, wl, lone.attach(base));
+                const DayResult b =
+                    simulateDay(module, stage, wl, shared.attach(base));
+                expectSameDay(a, b);
+                EXPECT_TRUE(lone.render() == shared.render())
+                    << "sink outputs differ";
+            }
+            SinkSet lone, shared;
+            const BatteryDayResult a = simulateBatteryDay(
+                module, trace, wl, power::kBatteryUpperBound,
+                lone.attach(base));
+            const BatteryDayResult b = simulateBatteryDay(
+                module, stage, wl, power::kBatteryUpperBound,
+                shared.attach(base));
+            expectSameBatteryDay(a, b);
+            EXPECT_TRUE(lone.render() == shared.render())
+                << "battery sink outputs differ";
+        }
+    }
+}
+
+TEST(StagedFlatDay, KeepsTheWarmSeedAcrossRepeatedEnvironments)
+{
+    // Under constant light and heat every step has the same
+    // environment bits: a day run from its trace prepares the panel
+    // once and keeps the pin solver's warm seed all day, so a staged
+    // day, which adopts the state every step, must keep it too.
+    const auto module = pv::buildBp3180n();
+    std::vector<solar::TracePoint> points;
+    for (double m = solar::kDayStartMinute; m <= solar::kDayEndMinute;
+         m += 1.0)
+        points.push_back({m, 640.0, 24.0});
+    const solar::SolarTrace flat(std::move(points), 1.0);
+    for (double dt : {15.0, 60.0}) {
+        DayStage stage;
+        stageDay(stage, module, flat, dt, 1, 1, true);
+        for (PolicyKind policy : {PolicyKind::MpptOpt, PolicyKind::MpptRr,
+                                  PolicyKind::MpptIcMotion}) {
+            SimConfig cfg = fastConfig(policy);
+            cfg.dtSeconds = dt;
+            SinkSet lone, shared;
+            expectSameDay(simulateDay(module, flat, workload::WorkloadId::HM2,
+                                      lone.attach(cfg)),
+                          simulateDay(module, stage,
+                                      workload::WorkloadId::HM2,
+                                      shared.attach(cfg)));
+            EXPECT_TRUE(lone.render() == shared.render())
+                << "dt " << dt << " policy " << static_cast<int>(policy);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryPvMode, StagedDay,
+    ::testing::Combine(::testing::Values(PvMode::Dispatched, PvMode::Scalar,
+                                         PvMode::Newton),
+                       ::testing::Values(15.0, 30.0, 60.0),
+                       ::testing::Values(
+                           SiteMonth{solar::SiteId::AZ, solar::Month::Jan},
+                           SiteMonth{solar::SiteId::NC, solar::Month::Jul})),
+    [](const ::testing::TestParamInfo<StagedDay::ParamType> &info) {
+        const PvMode mode = std::get<0>(info.param);
+        const SiteMonth day = std::get<2>(info.param);
+        return std::string(mode == PvMode::Dispatched ? "Dispatched"
+                               : mode == PvMode::Scalar ? "Scalar"
+                                                        : "Newton") +
+            "_dt" + std::to_string(static_cast<int>(std::get<1>(info.param))) +
+            "_" + solar::siteName(day.first) + solar::monthName(day.second);
+    });
 
 } // namespace
 } // namespace solarcore::core

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -245,6 +246,141 @@ TEST(PvKernel, PinRailPreparedMatchesLegacyPin)
             EXPECT_EQ(fast.load.voltage, legacy.load.voltage);
             EXPECT_EQ(fast.load.current, legacy.load.current);
         }
+    }
+}
+
+/** Bitwise equality of two doubles, NaN payloads and signed zeros
+ *  included. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(PvKernel, AdoptPreparedMatchesSetEnvironment)
+{
+    // adopt(prepare(env)) must leave an array in the very state
+    // setEnvironment(env) does: the same MPP, Voc and I-V curve bits,
+    // and the same stable-branch roots, with the warm seed carried
+    // across environments the same way. The states come from a third
+    // array, as a day stage prepares them away from the controller.
+    CellParams ideal = testModule().cell().params();
+    ideal.seriesRes = 0.0;
+    const PvModule rs0(SolarCell(ideal), testModule().cellsSeries(),
+                       testModule().stringsParallel());
+    const std::vector<Environment> envs = {
+        {0.0, 12.0},    // dark
+        {35.0, 6.0},    // dawn
+        kStc,           // STC
+        {1050.0, 72.0}, // hot
+        {1050.0, 72.0}, // a repeat: setEnvironment is a no-op
+        {820.0, -15.0}, // cold
+        {0.0, 12.0},    // dark again, after a warm root
+        kStc,
+    };
+    for (const PvModule *module : {&testModule(), &rs0}) {
+        const PreparedArray stager(*module, 2, 3);
+        PreparedArray set(*module, 2, 3);
+        PreparedArray adopted(*module, 2, 3);
+        for (std::size_t e = 0; e < envs.size(); ++e) {
+            const Environment &env = envs[e];
+            SCOPED_TRACE(::testing::Message()
+                         << "Rs " << module->cell().params().seriesRes
+                         << " env " << e);
+            set.setEnvironment(env);
+            adopted.adopt(stager.prepare(env));
+
+            EXPECT_EQ(std::memcmp(&adopted.mpp(), &set.mpp(),
+                                  sizeof(MppResult)),
+                      0);
+            EXPECT_EQ(adopted.dark(), set.dark());
+            EXPECT_TRUE(sameBits(adopted.openCircuitVoltage(),
+                                 set.openCircuitVoltage()));
+            const double v_top =
+                1.1 * std::max(set.openCircuitVoltage(), 1.0);
+            for (int k = 0; k < 64; ++k) {
+                const double v = v_top * k / 63.0;
+                EXPECT_TRUE(
+                    sameBits(adopted.currentAt(v), set.currentAt(v)))
+                    << "v " << v;
+            }
+            // The last solve leaves a warm root inside the bracket,
+            // which seeds the first solve at the next environment.
+            for (double frac : {0.9, 0.3, 0.6, 0.999, 1.0, 1.5, 0.5}) {
+                const double p = frac * set.mpp().power;
+                double v_a = -1.0, i_a = -1.0, v_s = -1.0, i_s = -1.0;
+                const bool ok_a = adopted.solveStableBranch(p, v_a, i_a);
+                const bool ok_s = set.solveStableBranch(p, v_s, i_s);
+                EXPECT_EQ(ok_a, ok_s) << "p " << p;
+                EXPECT_TRUE(sameBits(v_a, v_s)) << "p " << p;
+                EXPECT_TRUE(sameBits(i_a, i_s)) << "p " << p;
+            }
+        }
+    }
+}
+
+TEST(PvKernel, AdoptKeepsTheWarmSeed)
+{
+    // Find demands p0, p1 at one environment where a solve of p1 seeded
+    // by p0's root ends on other bits than a cold (midpoint-seeded)
+    // solve of p1: there the warm seed is observable. Re-adopting the
+    // environment's state between the two solves must keep the seed,
+    // as the no-op setEnvironment of a repeated environment does.
+    const Environment env{730.0, 41.0};
+    const PreparedArray stager(testModule(), 1, 1);
+    const PreparedEnvironment state = stager.prepare(env);
+    const double pmpp = state.mpp.power;
+    int witnesses = 0;
+    for (int a = 1; a < 20; ++a) {
+        for (int b = 1; b < 20; ++b) {
+            const double p0 = pmpp * a / 20.0;
+            const double p1 = pmpp * b / 20.0;
+            double v = 0.0, i = 0.0;
+            PreparedArray warm(testModule(), 1, 1);
+            warm.setEnvironment(env);
+            ASSERT_TRUE(warm.solveStableBranch(p0, v, i));
+            warm.setEnvironment(env);
+            double v_warm = 0.0, i_warm = 0.0;
+            ASSERT_TRUE(warm.solveStableBranch(p1, v_warm, i_warm));
+            PreparedArray cold(testModule(), 1, 1);
+            cold.adopt(state);
+            double v_cold = 0.0, i_cold = 0.0;
+            ASSERT_TRUE(cold.solveStableBranch(p1, v_cold, i_cold));
+            if (sameBits(v_warm, v_cold) && sameBits(i_warm, i_cold))
+                continue;
+            ++witnesses;
+            PreparedArray adopted(testModule(), 1, 1);
+            adopted.adopt(state);
+            ASSERT_TRUE(adopted.solveStableBranch(p0, v, i));
+            adopted.adopt(state);
+            double v_adopt = 0.0, i_adopt = 0.0;
+            ASSERT_TRUE(adopted.solveStableBranch(p1, v_adopt, i_adopt));
+            EXPECT_TRUE(sameBits(v_adopt, v_warm) &&
+                        sameBits(i_adopt, i_warm))
+                << "p0 " << p0 << " p1 " << p1;
+        }
+    }
+    EXPECT_GT(witnesses, 0);
+}
+
+TEST(PvKernel, PrepareIsPureAndSetEnvironmentRepreparesOnlyOnChange)
+{
+    // prepare() depends on the environment alone: two arrays, one
+    // with a history, prepare the same bits.
+    PreparedArray a(testModule(), 1, 1);
+    const PreparedArray fresh(testModule(), 1, 1);
+    a.setEnvironment({640.0, 33.0});
+    double v = 0.0, i = 0.0;
+    ASSERT_TRUE(a.solveStableBranch(0.5 * a.mpp().power, v, i));
+    for (const Environment &env : {Environment{640.0, 33.0}, kStc}) {
+        const PreparedEnvironment x = a.prepare(env);
+        const PreparedEnvironment y = fresh.prepare(env);
+        EXPECT_EQ(std::memcmp(&x.mpp, &y.mpp, sizeof(MppResult)), 0);
+        for (const auto &[p, q] :
+             {std::pair{x.vt, y.vt}, {x.iph, y.iph}, {x.i0, y.i0},
+              {x.a, y.a}, {x.logC, y.logC}, {x.vocArray, y.vocArray},
+              {x.wMpp, y.wMpp}, {x.wVoc, y.wVoc}})
+            EXPECT_TRUE(sameBits(p, q));
     }
 }
 

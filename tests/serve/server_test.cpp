@@ -175,6 +175,63 @@ TEST_F(ServeTest, AnswersAreByteIdenticalAcrossWorkersAndCaches)
     EXPECT_GT(reply.answer.savingsUsdPerYear, 0.0);
 }
 
+TEST_F(ServeTest, SharedDaysAnswerAsUnitsSimulatedAlone)
+{
+    // Two MPPT policies x two seeds: two days, each replayed by two
+    // units, so a fresh daemon stages each day once (panel constants
+    // included) and shares it. A daemon whose unit cache holds each
+    // unit simulated alone, as a one-unit query, must give the same
+    // reply bytes.
+    PlanQuery query = smallQuery(77);
+    query.grid.policies = {campaign::CampaignPolicy::MpptOpt,
+                           campaign::CampaignPolicy::MpptRr};
+    query.grid.dtSeconds = 120.0;
+
+    std::string shared;
+    {
+        Server server(baseConfig("s.sock"));
+        ASSERT_TRUE(server.start());
+        Client client;
+        ASSERT_TRUE(client.connect(path("s.sock")));
+        ASSERT_TRUE(rawCall(client, query, shared));
+        EXPECT_EQ(server.snapshot().unitsSimulated, 4u);
+        server.stop();
+    }
+
+    std::string alone;
+    {
+        auto cfg = baseConfig("u.sock");
+        cfg.unitCacheDir = path("alone_units");
+        Server server(cfg);
+        ASSERT_TRUE(server.start());
+        Client client;
+        ASSERT_TRUE(client.connect(cfg.socketPath));
+        std::uint64_t id = 100;
+        for (const auto policy : query.grid.policies) {
+            for (const std::uint64_t seed : query.grid.seeds) {
+                PlanQuery one = query;
+                one.requestId = ++id;
+                one.grid.policies = {policy};
+                one.grid.seeds = {seed};
+                std::string frame;
+                ASSERT_TRUE(rawCall(client, one, frame));
+            }
+        }
+        EXPECT_EQ(server.snapshot().unitsSimulated, 4u);
+        ASSERT_TRUE(rawCall(client, query, alone));
+        const auto snap = server.snapshot();
+        EXPECT_EQ(snap.unitsSimulated, 4u);
+        EXPECT_EQ(snap.unitsFromUnitCache, 4u);
+        server.stop();
+    }
+    EXPECT_EQ(alone, shared);
+    PlanReply reply;
+    std::string error;
+    ASSERT_TRUE(decodeReply(shared, reply, error)) << error;
+    EXPECT_EQ(reply.status, ReplyStatus::Ok);
+    EXPECT_EQ(reply.answer.unitCount, 4u);
+}
+
 TEST_F(ServeTest, UnitCachePersistsAcrossServerRestarts)
 {
     const auto query = smallQuery();
