@@ -60,10 +60,16 @@ class State
 
     struct StateIterator
     {
+        /** What `for (auto _ : state)` binds: an empty type, as in
+         *  google-benchmark, so the unused loop variable draws no
+         *  -Wunused-variable. */
+        struct [[maybe_unused]] Value
+        {};
+
         State *parent;
         std::int64_t remaining;
 
-        int operator*() const { return 0; }
+        Value operator*() const { return {}; }
         StateIterator &operator++()
         {
             --remaining;

@@ -125,36 +125,6 @@ SolarCoreController::shedUntilSustainable(TrackResult &result)
     result.solarViable = true;
 }
 
-SolarCoreController::MppSide
-SolarCoreController::probeMppSide()
-{
-    // Fix the chip's load line at its present demand and rail voltage.
-    const double demand = chip_->totalPower();
-    const double r_load =
-        power::loadResistance(config_.railNominalV, demand);
-
-    const double k0 = converter_.ratio();
-    const auto base = power::solveNetwork(*panel_, converter_, r_load);
-
-    power::DcDcConverter probe = converter_;
-    probe.setRatio(k0 + config_.deltaK);
-    const auto perturbed = power::solveNetwork(*panel_, probe, r_load);
-
-    if (!base.valid || !perturbed.valid)
-        return MppSide::AtMpp;
-
-    // Raising k raises the panel voltage. If the sensed output current
-    // grows, the perturbation approached the MPP from the left
-    // (Figure 5-b); if it falls, the point was right of the MPP.
-    const double di = perturbed.load.current - base.load.current;
-    const double tol = 1e-7 * (1.0 + base.load.current);
-    if (di > tol)
-        return MppSide::Left;
-    if (di < -tol)
-        return MppSide::Right;
-    return MppSide::AtMpp;
-}
-
 TrackResult
 SolarCoreController::track()
 {

@@ -32,7 +32,6 @@
 #include "cpu/chip.hpp"
 #include "power/converter.hpp"
 #include "power/operating_point.hpp"
-#include "power/sensors.hpp"
 #include "pv/module.hpp"
 #include "pv/pv_kernel.hpp"
 
@@ -48,7 +47,6 @@ struct ControllerConfig
     double railNominalV = 12.0;  //!< nominal converter output voltage
     double marginFraction = 0.02;//!< headroom kept below the MPP
     int maxTuneSteps = 96;       //!< notch cap per tracking event
-    double deltaK = 0.02;        //!< transfer-ratio perturbation step
     double converterEfficiency = 1.0; //!< DC/DC conversion efficiency;
                                       //!< panel supplies demand/eff
 };
@@ -79,19 +77,6 @@ class SolarCoreController
 
     const ControllerConfig &config() const { return config_; }
     const power::DcDcConverter &converter() const { return converter_; }
-
-    /** Which side of the MPP the panel operating point sits on. */
-    enum class MppSide { Left, Right, AtMpp };
-
-    /**
-     * The paper's Step 2, literally: hold the chip load fixed, perturb
-     * the transfer ratio by +deltaK and observe the output current
-     * through the sensors. Rising current means the perturbation moved
-     * the panel toward the MPP, i.e. the operating point was on the
-     * left of the MPP (Figure 5-b); falling current means it was on the
-     * right (Figure 5-a). The converter ratio is restored afterwards.
-     */
-    MppSide probeMppSide();
 
     /** Run one full tracking event (periodic or event-triggered). */
     TrackResult track();

@@ -52,29 +52,6 @@ MultiCoreChip::totalPower() const
     return w;
 }
 
-void
-MultiCoreChip::setVrmModel(const VrmParams &params)
-{
-    vrmModel_.emplace(params);
-}
-
-void
-MultiCoreChip::clearVrmModel()
-{
-    vrmModel_.reset();
-}
-
-double
-MultiCoreChip::inputPower() const
-{
-    if (!vrmModel_)
-        return totalPower();
-    double w = 0.0;
-    for (const auto &c : cores_)
-        w += vrmModel_->inputPower(c.powerW());
-    return w;
-}
-
 double
 MultiCoreChip::totalThroughput() const
 {

@@ -10,12 +10,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "cpu/core.hpp"
 #include "cpu/machine_config.hpp"
-#include "cpu/vrm.hpp"
 
 namespace solarcore::cpu {
 
@@ -51,25 +49,9 @@ class MultiCoreChip
     const ChipConfig &config() const { return config_; }
     const PowerModel &powerModel() const { return powerModel_; }
 
-    /** Total chip power at the current per-core states [W]. */
+    /** Total chip power at the current per-core states [W]; with the
+     *  paper's ideal regulators, also the 12 V-rail draw. */
     double totalPower() const;
-
-    /**
-     * Enable the per-core VRM conversion model: inputPower() then
-     * reports the 12 V-rail draw including regulator losses. Pass
-     * nullopt to return to ideal regulators (the default, which the
-     * paper and the calibrated experiments assume).
-     */
-    void setVrmModel(const VrmParams &params);
-    void clearVrmModel();
-    bool hasVrmModel() const { return vrmModel_.has_value(); }
-
-    /**
-     * Power drawn from the 12 V rail: totalPower() under ideal
-     * regulators, or the per-core VRM-lossy sum when a VRM model is
-     * installed.
-     */
-    double inputPower() const;
 
     /** Total committed instructions per second at current states. */
     double totalThroughput() const;
@@ -130,7 +112,6 @@ class MultiCoreChip
     DvfsTable table_;
     PowerModel powerModel_;
     std::vector<Core> cores_;
-    std::optional<Vrm> vrmModel_;
     bool gatingAllowed_ = true;
 };
 

@@ -1,12 +1,13 @@
 #include "obs_options.hpp"
 
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
 
 #include "obs/manifest.hpp"
 #include "obs/profiler.hpp"
 #include "obs/stats_registry.hpp"
 #include "util/logging.hpp"
+#include "util/parse_number.hpp"
 
 namespace solarcore::obs {
 
@@ -53,28 +54,27 @@ ObsOptions::consume(std::string_view arg)
         takeValue(arg, "--postmortem-out=", postmortemOut))
         return true;
     if (takeValue(arg, "--metrics-port=", buf)) {
-        char *end = nullptr;
-        const long n = std::strtol(buf.c_str(), &end, 10);
-        if (buf.empty() || (end && *end != '\0') || n < 0 || n > 65535)
+        const auto port = util::parseNumber<std::uint16_t>(buf);
+        if (!port)
             SC_FATAL("--metrics-port: expected a port in [0, 65535], "
                      "got '", buf, "'");
-        metricsPort = static_cast<int>(n);
+        metricsPort = *port;
         return true;
     }
     if (takeValue(arg, "--trace-buffer=", buf)) {
-        const long n = std::strtol(buf.c_str(), nullptr, 10);
-        if (n <= 0)
+        const auto n = util::parseNumber<std::size_t>(buf);
+        if (!n || *n == 0)
             SC_FATAL("--trace-buffer: expected a positive event count, "
                      "got '", buf, "'");
-        traceBufferCap = static_cast<std::size_t>(n);
+        traceBufferCap = *n;
         return true;
     }
     if (takeValue(arg, "--telemetry-every=", buf)) {
-        const long n = std::strtol(buf.c_str(), nullptr, 10);
-        if (n <= 0)
+        const auto n = util::parseNumber<std::size_t>(buf);
+        if (!n || *n == 0)
             SC_FATAL("--telemetry-every: expected a positive step count, "
                      "got '", buf, "'");
-        telemetryEvery = static_cast<std::size_t>(n);
+        telemetryEvery = *n;
         return true;
     }
     if (takeValue(arg, "--telemetry-mode=", buf)) {

@@ -114,20 +114,38 @@ TEST(Controller, EnforceRailNoopWhenSustainable)
     }
 }
 
-TEST(Controller, ProbeReportsRightOfMppAfterTracking)
+TEST(Controller, TrackParksOnTheStableBranch)
 {
-    // The controller parks the panel on the stable branch, i.e. at or
-    // right of the MPP; the perturb-and-observe probe must agree.
-    Rig rig;
-    rig.array.setEnvironment({800.0, 30.0});
-    rig.chip.gateAll();
-    SolarCoreController ctl(rig.array, rig.chip, rig.adapter);
-    ASSERT_TRUE(ctl.track().solarViable);
-    const auto side = ctl.probeMppSide();
-    EXPECT_NE(side, SolarCoreController::MppSide::Left);
+    // Step 2 of a tracking event is the pin's feasibility probe, which
+    // settles on the stable branch: whatever the sun, the cell
+    // temperature and the mix, the climb leaves the panel at or right
+    // of its MPP (Figure 5-a), never on the left branch.
+    const pv::PvModule module = pv::buildBp3180n();
+    for (const auto id : {workload::WorkloadId::H1, workload::WorkloadId::HM2,
+                          workload::WorkloadId::L1}) {
+        for (const double g : {200.0, 500.0, 800.0, 1000.0}) {
+            for (const double t : {10.0, 30.0, 50.0}) {
+                SCOPED_TRACE(testing::Message()
+                             << workload::workloadName(id) << " G=" << g
+                             << " T=" << t);
+                pv::PvArray array(module, 1, 1, {g, t});
+                cpu::MultiCoreChip chip(cpu::defaultChipConfig(),
+                                        cpu::DvfsTable::paperDefault(),
+                                        cpu::EnergyParams{},
+                                        workload::workloadSet(id), 42);
+                chip.gateAll();
+                TprOptAdapter adapter;
+                SolarCoreController ctl(array, chip, adapter);
+                const auto tr = ctl.track();
+                ASSERT_TRUE(tr.solarViable);
+                EXPECT_GE(tr.net.panel.voltage,
+                          pv::findMpp(array).voltage - 1e-6);
+            }
+        }
+    }
 }
 
-TEST(Controller, ProbeDetectsLeftOfMpp)
+TEST(Controller, LeftOfMppRaisingTheRatioRaisesCurrent)
 {
     // Park the converter so the panel sits far left of the MPP (low
     // panel voltage) with a fixed load, then probe.

@@ -266,42 +266,6 @@ TEST(Chip, DifferentSeedsDecorrelatePhases)
     EXPECT_NE(a.totalInstructions(), b.totalInstructions());
 }
 
-TEST(Chip, IdealRegulatorsByDefault)
-{
-    auto chip = makeChip();
-    chip.setAllLevels(3);
-    EXPECT_FALSE(chip.hasVrmModel());
-    EXPECT_DOUBLE_EQ(chip.inputPower(), chip.totalPower());
-}
-
-TEST(Chip, VrmModelAddsConversionLoss)
-{
-    auto chip = makeChip();
-    chip.setAllLevels(3);
-    chip.setVrmModel(VrmParams{});
-    EXPECT_TRUE(chip.hasVrmModel());
-    EXPECT_GT(chip.inputPower(), chip.totalPower());
-    // ~10% regulator loss at typical operating points.
-    EXPECT_LT(chip.inputPower(), 1.25 * chip.totalPower());
-    chip.clearVrmModel();
-    EXPECT_DOUBLE_EQ(chip.inputPower(), chip.totalPower());
-}
-
-TEST(Chip, VrmLossWorseAtLightLoad)
-{
-    // Light-load droop: the relative loss at the bottom level exceeds
-    // the relative loss near the regulators' rated point.
-    auto chip = makeChip();
-    chip.setVrmModel(VrmParams{});
-    chip.setAllLevels(0);
-    const double light =
-        chip.inputPower() / chip.totalPower();
-    chip.setAllLevels(chip.dvfs().maxLevel());
-    const double heavy =
-        chip.inputPower() / chip.totalPower();
-    EXPECT_GT(light, heavy);
-}
-
 TEST(Chip, HomogeneousWorkloadCoresDesynchronized)
 {
     // Eight copies of art must not be phase-locked: per-core power at a

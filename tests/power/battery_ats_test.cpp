@@ -8,7 +8,6 @@
 
 #include "power/ats.hpp"
 #include "power/battery.hpp"
-#include "power/sensors.hpp"
 
 namespace solarcore::power {
 namespace {
@@ -178,38 +177,6 @@ TEST(TransferSwitch, EnergyLedgersSplitBySource)
     EXPECT_DOUBLE_EQ(ats.solarEnergyWh(), 100.0);
     EXPECT_DOUBLE_EQ(ats.gridSeconds(), 3600.0);
     EXPECT_DOUBLE_EQ(ats.solarSeconds(), 7200.0);
-}
-
-TEST(Sensors, IdealSensorIsTransparent)
-{
-    IvSensor sensor;
-    const pv::OperatingPoint op{35.7, 5.1};
-    const auto m = sensor.measure(op);
-    EXPECT_DOUBLE_EQ(m.voltage, 35.7);
-    EXPECT_DOUBLE_EQ(m.current, 5.1);
-    EXPECT_DOUBLE_EQ(sensor.measurePower(op), 35.7 * 5.1);
-}
-
-TEST(Sensors, QuantizationSnapsToLsb)
-{
-    IvSensor sensor(0.5, 0.25);
-    const auto m = sensor.measure({35.7, 5.1});
-    EXPECT_DOUBLE_EQ(m.voltage, 35.5);
-    EXPECT_DOUBLE_EQ(m.current, 5.0);
-}
-
-TEST(Sensors, NoiseIsDeterministicPerSeed)
-{
-    IvSensor a(0.0, 0.0, 0.01, 7);
-    IvSensor b(0.0, 0.0, 0.01, 7);
-    const pv::OperatingPoint op{30.0, 4.0};
-    for (int i = 0; i < 10; ++i) {
-        const auto ma = a.measure(op);
-        const auto mb = b.measure(op);
-        EXPECT_DOUBLE_EQ(ma.voltage, mb.voltage);
-        EXPECT_DOUBLE_EQ(ma.current, mb.current);
-        EXPECT_NE(ma.voltage, op.voltage); // noise actually applied
-    }
 }
 
 } // namespace

@@ -14,7 +14,7 @@
  * real_time) regress when they grow; throughput-like metrics
  * (*units_per_second*, *speedup*) regress when they shrink.
  *
- *   bench_diff                         # all bench/history/*.jsonl
+ *   bench_diff                         # every .jsonl in bench/history
  *   bench_diff --rtol=0.3              # loosen the default tolerance
  *   bench_diff --tol=speedup:0.5       # per-metric override (substring)
  *   bench_diff --history-dir=D --baseline-dir=D2
@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "campaign/golden.hpp"
+#include "util/parse_number.hpp"
 
 using namespace solarcore;
 namespace fs = std::filesystem;
@@ -151,18 +152,19 @@ main(int argc, char **argv)
         } else if (key == "--baseline-dir") {
             baseline_dir = value;
         } else if (key == "--rtol") {
-            rtol = std::strtod(value.c_str(), nullptr);
-            if (!(rtol > 0))
+            const auto r = util::parseNumber<double>(value);
+            if (!r || !(*r > 0))
                 usage("--rtol must be positive");
+            rtol = *r;
         } else if (key == "--tol") {
             const auto colon = value.rfind(':');
             if (colon == std::string::npos)
                 usage("--tol wants SUBSTRING:RTOL");
-            const double r =
-                std::strtod(value.c_str() + colon + 1, nullptr);
-            if (!(r > 0))
+            const auto r = util::parseNumber<double>(
+                std::string_view(value).substr(colon + 1));
+            if (!r || !(*r > 0))
                 usage("--tol tolerance must be positive");
-            overrides.emplace_back(value.substr(0, colon), r);
+            overrides.emplace_back(value.substr(0, colon), *r);
         } else {
             usage(("unknown option " + key).c_str());
         }

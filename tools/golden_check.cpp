@@ -28,6 +28,7 @@
 #include <string>
 
 #include "campaign/golden.hpp"
+#include "util/parse_number.hpp"
 
 using namespace solarcore;
 
@@ -56,17 +57,15 @@ readFile(const std::string &path, std::string &out)
     return true;
 }
 
-double
-parseDouble(const std::string &flag, const std::string &value)
+/** Parse @p value with util::parseNumber, or exit via usage(). */
+template <typename T>
+T
+numberFlag(const std::string &flag, const std::string &value)
 {
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(value, &used);
-        if (used == value.size())
-            return v;
-    } catch (...) {
-    }
-    usage(("bad value for " + flag).c_str());
+    const auto v = util::parseNumber<T>(value);
+    if (!v)
+        usage(("bad value for " + flag).c_str());
+    return *v;
 }
 
 } // namespace
@@ -98,22 +97,22 @@ main(int argc, char **argv)
         } else if (arg == "--update") {
             update = true;
         } else if (key == "--rtol") {
-            tolerances.fallback.rtol = parseDouble(key, value);
+            tolerances.fallback.rtol = numberFlag<double>(key, value);
         } else if (key == "--atol") {
-            tolerances.fallback.atol = parseDouble(key, value);
+            tolerances.fallback.atol = numberFlag<double>(key, value);
         } else if (key == "--tol") {
             const auto c1 = value.find(':');
             if (c1 == std::string::npos || c1 == 0)
                 usage("--tol needs PATTERN:RTOL[:ATOL]");
             const auto c2 = value.find(':', c1 + 1);
             campaign::Tolerance tol;
-            tol.rtol = parseDouble(
+            tol.rtol = numberFlag<double>(
                 key, value.substr(c1 + 1,
                                   c2 == std::string::npos
                                       ? std::string::npos
                                       : c2 - c1 - 1));
             if (c2 != std::string::npos)
-                tol.atol = parseDouble(key, value.substr(c2 + 1));
+                tol.atol = numberFlag<double>(key, value.substr(c2 + 1));
             tolerances.overrides.insert(
                 tolerances.overrides.begin(),
                 {value.substr(0, c1), tol});
@@ -122,8 +121,7 @@ main(int argc, char **argv)
                 usage("--ignore needs a pattern");
             tolerances.ignored.push_back(value);
         } else if (key == "--max-report") {
-            max_report =
-                static_cast<std::size_t>(parseDouble(key, value));
+            max_report = numberFlag<std::size_t>(key, value);
         } else if (arg.rfind("--", 0) == 0) {
             usage(("unknown option " + arg).c_str());
         } else {

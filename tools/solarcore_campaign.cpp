@@ -42,17 +42,15 @@
  * the golden gate also asserts "zero invariant violations".
  */
 
-#include <charconv>
-#include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <string>
 
 #include "campaign/campaign.hpp"
 #include "obs/span.hpp"
 #include "pv/pv_kernel.hpp"
+#include "util/parse_number.hpp"
 
 using namespace solarcore;
 
@@ -87,34 +85,15 @@ usage(const char *complaint = nullptr)
     std::exit(2);
 }
 
-double
-parseDouble(const std::string &flag, const std::string &value)
-{
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(value, &used);
-        if (used == value.size())
-            return v;
-    } catch (...) {
-    }
-    usage(("bad value for " + flag).c_str());
-}
-
-/**
- * Parse the whole of @p value as a whole number that fits in T, or
- * exit via usage(): no sign, fraction, exponent or overflow.
- */
+/** Parse @p value with util::parseNumber, or exit via usage(). */
 template <typename T>
 T
-parseCount(const std::string &flag, const std::string &value)
+numberFlag(const std::string &flag, const std::string &value)
 {
-    std::uint64_t v = 0;
-    const char *end = value.data() + value.size();
-    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
-    if (ec != std::errc() || ptr != end ||
-        v > static_cast<std::uint64_t>(std::numeric_limits<T>::max()))
+    const auto v = util::parseNumber<T>(value);
+    if (!v)
         usage(("bad value for " + flag).c_str());
-    return static_cast<T>(v);
+    return *v;
 }
 
 } // namespace
@@ -159,26 +138,26 @@ main(int argc, char **argv)
             if (!campaign::parseSeedList(value, grid.seeds))
                 usage("bad --seeds list");
         } else if (key == "--dt") {
-            grid.dtSeconds = parseDouble(key, value);
+            grid.dtSeconds = numberFlag<double>(key, value);
         } else if (key == "--budget") {
-            grid.fixedBudgetW = parseDouble(key, value);
+            grid.fixedBudgetW = numberFlag<double>(key, value);
         } else if (key == "--derating") {
-            grid.batteryDerating = parseDouble(key, value);
+            grid.batteryDerating = numberFlag<double>(key, value);
         } else if (key == "--period") {
-            grid.trackingPeriodMinutes = parseDouble(key, value);
+            grid.trackingPeriodMinutes = numberFlag<double>(key, value);
         } else if (key == "--pv-kernel") {
             if (!pv::resolvePvKernel(value))
                 usage("bad --pv-kernel (want auto|scalar|avx2, "
                       "supported on this cpu)");
             grid.pvKernel = value;
         } else if (key == "--threads") {
-            options.threads = parseCount<int>(key, value);
+            options.threads = numberFlag<int>(key, value);
         } else if (key == "--workers") {
-            options.workers = parseCount<int>(key, value);
+            options.workers = numberFlag<int>(key, value);
         } else if (key == "--unit-cache") {
             options.unitCacheDir = value;
         } else if (key == "--unit-cache-cap") {
-            options.unitCacheCap = parseCount<std::size_t>(key, value);
+            options.unitCacheCap = numberFlag<std::size_t>(key, value);
         } else if (key == "--out") {
             out_path = value;
         } else if (key == "--journal") {

@@ -38,14 +38,11 @@
  * runs an audited, instrumented default day.
  */
 
-#include <charconv>
-#include <cmath>
 #include <cstring>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <string>
-#include <type_traits>
 
 #include "core/aggregate.hpp"
 #include "core/solarcore.hpp"
@@ -59,6 +56,7 @@
 #include "obs/stats_registry.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "util/parse_number.hpp"
 #include "util/table.hpp"
 
 using namespace solarcore;
@@ -110,20 +108,15 @@ usage(const char *complaint = nullptr)
     std::exit(2);
 }
 
-/** Parse the whole of @p value as a finite T, or exit via usage(). */
+/** Parse @p value with util::parseNumber, or exit via usage(). */
 template <typename T>
 T
-parseNumber(const std::string &flag, const std::string &value)
+numberFlag(const std::string &flag, const std::string &value)
 {
-    T v{};
-    const char *end = value.data() + value.size();
-    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
-    bool ok = ec == std::errc() && ptr == end;
-    if constexpr (std::is_floating_point_v<T>)
-        ok = ok && std::isfinite(v);
-    if (!ok)
+    const auto v = util::parseNumber<T>(value);
+    if (!v)
         usage(("bad value for " + flag).c_str());
-    return v;
+    return *v;
 }
 
 Options
@@ -198,22 +191,21 @@ parse(int argc, char **argv)
             else
                 usage();
         } else if (key == "--budget") {
-            opt.budgetW = parseNumber<double>(key, val);
+            opt.budgetW = numberFlag<double>(key, val);
             if (opt.budgetW < 0.0)
                 usage("--budget must be >= 0");
         } else if (key == "--seed") {
-            // Unsigned parse: a leading '-' is rejected, not wrapped.
-            opt.seed = parseNumber<std::uint64_t>(key, val);
+            opt.seed = numberFlag<std::uint64_t>(key, val);
         } else if (key == "--days") {
-            opt.days = parseNumber<int>(key, val);
+            opt.days = numberFlag<int>(key, val);
             if (opt.days < 1)
                 usage("--days must be >= 1");
         } else if (key == "--dt") {
-            opt.dtSeconds = parseNumber<double>(key, val);
+            opt.dtSeconds = numberFlag<double>(key, val);
             if (opt.dtSeconds <= 0.0)
                 usage("--dt must be positive");
         } else if (key == "--threshold") {
-            opt.thresholdW = parseNumber<double>(key, val);
+            opt.thresholdW = numberFlag<double>(key, val);
             if (opt.thresholdW < 0.0)
                 usage("--threshold must be >= 0");
         } else if (key == "--pv-kernel") {

@@ -15,14 +15,15 @@
  * smoke job); every reply must match the first byte-for-byte.
  */
 
+#include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
 #include "obs/json.hpp"
 #include "obs/span.hpp"
 #include "serve/client.hpp"
+#include "util/parse_number.hpp"
 
 using namespace solarcore;
 
@@ -57,6 +58,17 @@ usage(const char *complaint = nullptr)
         "                       so the daemon records request spans;\n"
         "                       the id prints on stderr\n";
     std::exit(2);
+}
+
+/** Parse @p value with util::parseNumber, or exit via usage(). */
+template <typename T>
+T
+numberFlag(const std::string &flag, const std::string &value)
+{
+    const auto v = util::parseNumber<T>(value);
+    if (!v)
+        usage(("bad value for " + flag).c_str());
+    return *v;
 }
 
 void
@@ -128,33 +140,29 @@ main(int argc, char **argv)
             if (!campaign::parseSeedList(value, query.grid.seeds))
                 usage("bad --seeds list");
         } else if (key == "--nodes")
-            query.nodesPerUnit = static_cast<std::uint32_t>(
-                std::strtoul(value.c_str(), nullptr, 10));
+            query.nodesPerUnit = numberFlag<std::uint32_t>(key, value);
         else if (key == "--deadline-ms")
-            query.deadlineMillis = static_cast<std::uint32_t>(
-                std::strtoul(value.c_str(), nullptr, 10));
+            query.deadlineMillis = numberFlag<std::uint32_t>(key, value);
         else if (key == "--dt")
-            query.grid.dtSeconds = std::strtod(value.c_str(), nullptr);
+            query.grid.dtSeconds = numberFlag<double>(key, value);
         else if (key == "--fixed-budget")
-            query.grid.fixedBudgetW = std::strtod(value.c_str(), nullptr);
+            query.grid.fixedBudgetW = numberFlag<double>(key, value);
         else if (key == "--co2")
-            query.econ.co2KgPerKwh = std::strtod(value.c_str(), nullptr);
+            query.econ.co2KgPerKwh = numberFlag<double>(key, value);
         else if (key == "--tariff")
-            query.econ.gridUsdPerKwh = std::strtod(value.c_str(), nullptr);
+            query.econ.gridUsdPerKwh = numberFlag<double>(key, value);
         else if (key == "--panel-usd")
-            query.econ.panelUsd = std::strtod(value.c_str(), nullptr);
+            query.econ.panelUsd = numberFlag<double>(key, value);
         else if (key == "--battery-usd")
-            query.econ.batteryUsd = std::strtod(value.c_str(), nullptr);
+            query.econ.batteryUsd = numberFlag<double>(key, value);
         else if (key == "--battery-life")
-            query.econ.batteryLifeYears =
-                std::strtod(value.c_str(), nullptr);
+            query.econ.batteryLifeYears = numberFlag<double>(key, value);
         else if (key == "--repeat")
-            repeat = std::strtol(value.c_str(), nullptr, 10);
+            repeat = numberFlag<long>(key, value);
         else if (key == "--timeout-ms")
-            timeout_ms = static_cast<int>(
-                std::strtol(value.c_str(), nullptr, 10));
+            timeout_ms = numberFlag<int>(key, value);
         else if (key == "--id")
-            query.requestId = std::strtoull(value.c_str(), nullptr, 10);
+            query.requestId = numberFlag<std::uint64_t>(key, value);
         else if (key == "--trace") {
             if (value.empty())
                 query.traceId = obs::newTraceId();

@@ -26,6 +26,7 @@
 #include <thread>
 
 #include "serve/server.hpp"
+#include "util/parse_number.hpp"
 
 using namespace solarcore;
 
@@ -74,14 +75,15 @@ usage(const char *complaint = nullptr)
     std::exit(2);
 }
 
-long
-parseCount(const std::string &value, const char *what)
+/** Parse @p value with util::parseNumber, or exit via usage(). */
+template <typename T>
+T
+numberFlag(const std::string &flag, const std::string &value)
 {
-    char *end = nullptr;
-    const long v = std::strtol(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || v < 0)
-        usage((std::string("invalid ") + what).c_str());
-    return v;
+    const auto v = util::parseNumber<T>(value);
+    if (!v)
+        usage(("bad value for " + flag).c_str());
+    return *v;
 }
 
 } // namespace
@@ -99,47 +101,39 @@ main(int argc, char **argv)
         if (key == "--socket")
             config.socketPath = value;
         else if (key == "--workers")
-            config.workers = static_cast<int>(parseCount(value, key.c_str()));
+            config.workers = numberFlag<int>(key, value);
         else if (key == "--queue-depth")
-            config.maxQueueDepth =
-                static_cast<std::size_t>(parseCount(value, key.c_str()));
+            config.maxQueueDepth = numberFlag<std::size_t>(key, value);
         else if (key == "--result-cache-cap")
-            config.resultCacheCap =
-                static_cast<std::size_t>(parseCount(value, key.c_str()));
+            config.resultCacheCap = numberFlag<std::size_t>(key, value);
         else if (key == "--max-units")
-            config.maxUnitsPerQuery =
-                static_cast<std::size_t>(parseCount(value, key.c_str()));
+            config.maxUnitsPerQuery = numberFlag<std::size_t>(key, value);
         else if (key == "--unit-cache")
             config.unitCacheDir = value;
         else if (key == "--unit-cache-cap")
-            config.unitCacheCap =
-                static_cast<std::size_t>(parseCount(value, key.c_str()));
+            config.unitCacheCap = numberFlag<std::size_t>(key, value);
         else if (key == "--pv-kernel")
             config.pvKernel = value;
         else if (key == "--estimate-init-micros")
-            config.estimateInitUnitMicros =
-                std::strtod(value.c_str(), nullptr);
+            config.estimateInitUnitMicros = numberFlag<double>(key, value);
         else if (key == "--status-out")
             config.statusPath = value;
         else if (key == "--metrics-out")
             config.metricsOut = value;
         else if (key == "--metrics-port")
-            config.metricsPort =
-                static_cast<int>(parseCount(value, key.c_str()));
+            config.metricsPort = numberFlag<std::uint16_t>(key, value);
         else if (key == "--publish-interval")
-            config.minPublishSeconds = std::strtod(value.c_str(), nullptr);
+            config.minPublishSeconds = numberFlag<double>(key, value);
         else if (key == "--trace-out")
             config.traceOut = value;
         else if (key == "--trace-perfetto")
             config.tracePerfettoOut = value;
         else if (key == "--trace-sample")
-            config.traceSample = static_cast<std::uint64_t>(
-                parseCount(value, key.c_str()));
+            config.traceSample = numberFlag<std::uint64_t>(key, value);
         else if (key == "--slow-ms")
-            config.slowMillis = std::strtod(value.c_str(), nullptr);
+            config.slowMillis = numberFlag<double>(key, value);
         else if (key == "--slow-log-cap")
-            config.slowLogCap =
-                static_cast<std::size_t>(parseCount(value, key.c_str()));
+            config.slowLogCap = numberFlag<std::size_t>(key, value);
         else if (key == "--verbose")
             config.verbose = true;
         else if (key == "--help" || key == "-h")

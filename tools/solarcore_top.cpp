@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "campaign/golden.hpp"
+#include "util/parse_number.hpp"
 
 using namespace solarcore;
 
@@ -427,7 +428,7 @@ main(int argc, char **argv)
         if (key == "--status")
             status_path = value;
         else if (key == "--interval")
-            interval = std::strtod(value.c_str(), nullptr);
+            interval = util::parseNumber<double>(value).value_or(0.0);
         else if (key == "--once")
             once = true;
         else
