@@ -1,10 +1,12 @@
 #include "bench_common.hpp"
 
 #include <cstdlib>
+#include <iostream>
 #include <map>
 #include <mutex>
 #include <string_view>
 
+#include "util/parse_number.hpp"
 #include "util/thread_pool.hpp"
 
 namespace solarcore::bench {
@@ -62,10 +64,16 @@ threadsFromArgs(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg(argv[i]);
-        if (arg.rfind("--threads=", 0) == 0) {
-            // 0 / garbage fall through to ThreadPool's auto-detect.
-            return std::atoi(arg.data() + 10);
-        }
+        if (arg.rfind("--threads=", 0) != 0)
+            continue;
+        const auto threads = util::parseNumber<int>(arg.substr(10));
+        if (threads && *threads <= ThreadPool::maxThreads())
+            return *threads; // 0: ThreadPool's auto-detect
+        std::cerr << argv[0] << ": bad value for --threads\n"
+                  << "usage: " << argv[0]
+                  << " [--threads=N] (N: 0 = all hardware threads, at most "
+                  << ThreadPool::maxThreads() << ")\n";
+        std::exit(2);
     }
     return 0;
 }

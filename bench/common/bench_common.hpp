@@ -57,7 +57,9 @@ core::DayResult runDay(solar::SiteId site, solar::Month month,
 /**
  * Parse a `--threads=N` argument (0 or omitted: all hardware threads).
  * Shared by the sweep binaries so every figure can be reproduced
- * single-threaded (byte-identical output) or fanned across cores.
+ * single-threaded (byte-identical output) or fanned across cores. A
+ * value that is not a whole number, or is above ThreadPool::maxThreads(),
+ * prints the usage and exits 2.
  */
 int threadsFromArgs(int argc, char **argv);
 

@@ -83,7 +83,14 @@ campaignModule()
     return module;
 }
 
-/** The (site, month, seed) day trace @p unit replays. */
+/** The (site, month, seed) day @p unit replays. */
+solar::DayId
+dayOf(const ScenarioUnit &unit)
+{
+    return {unit.site, unit.month, unit.seed};
+}
+
+/** The trace of the day @p unit replays. */
 solar::SolarTrace
 dayTrace(const ScenarioUnit &unit)
 {
@@ -119,6 +126,8 @@ runUnit(const ScenarioUnit &unit, const ScenarioGrid &grid,
         obs::TelemetryRecorder *telemetry, obs::Auditor *audit,
         core::SimWorkspace *workspace, const core::DayStage *stage)
 {
+    SC_ASSERT(!stage || stage->day == dayOf(unit),
+              "runUnit: stage of another day than ", unitKey(unit));
     const pv::PvModule &module = campaignModule();
     core::SimConfig cfg;
     cfg.dtSeconds = grid.dtSeconds;
@@ -158,7 +167,8 @@ runUnit(const ScenarioUnit &unit, const ScenarioGrid &grid,
  *  of them acquired it, its stage. */
 struct SharedDays::Day
 {
-    std::size_t firstTask = 0;   //!< its unit names the day
+    std::size_t firstTask = 0;   //!< first of its own tasks; its unit
+                                 //!< names the day
     bool panelConstants = false; //!< >= 2 of its tasks track the MPP
     std::once_flag staged;
     std::atomic<std::size_t> leases{0}; //!< tasks yet to release it
@@ -173,8 +183,8 @@ SharedDays::Lease::Lease(Lease &&other) noexcept
 
 SharedDays::Lease::~Lease()
 {
-    // The last task of a day hands its stage back for the next day to
-    // restage: with tasks claimed day by day, only the days in flight
+    // The last task of a day hands its stage back for a later day to
+    // restage: with tasks claimed in order(), only the days in flight
     // hold a stage.
     if (day_ && day_->leases.fetch_sub(1) == 1) {
         std::lock_guard<std::mutex> lock(owner_->spareMutex_);
@@ -190,55 +200,81 @@ SharedDays::Lease::stage() const
 
 SharedDays::SharedDays(const ScenarioGrid &grid,
                        const std::vector<ScenarioUnit> &units,
-                       std::span<const std::size_t> tasks)
+                       std::span<const std::size_t> tasks, int claimers)
     : grid_(&grid), units_(&units), tasks_(tasks),
-      dayOf_(tasks.size(), nullptr), order_(tasks.size())
+      dayOf_(tasks.size(), nullptr)
 {
-    // Count each day's tasks and MPPT tasks, then lay the tasks out day
-    // by day (days in grid order, tasks in order within a day).
+    SC_ASSERT(claimers >= 1, "SharedDays: no claimer");
+    // Count each day's tasks and MPPT tasks.
     struct Tally
     {
         std::size_t tasks = 0;
         std::size_t mppt = 0;
-        std::size_t next = 0; //!< its next slot in order_
+        std::size_t start = 0; //!< its tasks' first slot in by_day
+        std::size_t filled = 0;
         Day *shared = nullptr;
     };
     std::vector<Tally> tally(dayCount(grid));
-    for (const std::size_t i : tasks) {
-        const ScenarioUnit &unit = units[i];
+    auto tally_of = [&](std::size_t t) -> Tally & {
+        return tally[static_cast<std::size_t>(units[tasks[t]].day)];
+    };
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+        const ScenarioUnit &unit = units[tasks[t]];
         SC_ASSERT(unit.day >= 0 &&
                       static_cast<std::size_t>(unit.day) < tally.size(),
                   "SharedDays: unit not of this grid");
-        Tally &day = tally[static_cast<std::size_t>(unit.day)];
+        Tally &day = tally_of(t);
         ++day.tasks;
         if (unit.policy != CampaignPolicy::FixedPower &&
             unit.policy != CampaignPolicy::Battery)
             ++day.mppt;
     }
+
+    // Each day's tasks, in task order, day after day in grid order.
+    std::vector<Tally *> present; //!< the days that have tasks
     std::size_t slot = 0;
     std::size_t shared = 0;
     for (Tally &day : tally) {
-        day.next = slot;
+        if (day.tasks == 0)
+            continue;
+        present.push_back(&day);
+        day.start = slot;
         slot += day.tasks;
         shared += day.tasks >= 2 ? 1 : 0;
     }
-    auto tally_of = [&](std::size_t t) -> Tally & {
-        return tally[static_cast<std::size_t>(units[tasks[t]].day)];
-    };
-    for (std::size_t t = 0; t < tasks.size(); ++t)
-        order_[tally_of(t).next++] = t;
+    std::vector<std::size_t> by_day(tasks.size());
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+        Tally &day = tally_of(t);
+        by_day[day.start + day.filled++] = t;
+    }
 
-    // A day with two or more tasks is shared.
+    // Claim order: windows of `claimers` days; within a window, rank r
+    // of every day before rank r + 1 of any.
+    order_.reserve(tasks.size());
+    const auto window = static_cast<std::size_t>(claimers);
+    for (std::size_t w = 0; w < present.size(); w += window) {
+        const std::size_t end = std::min(present.size(), w + window);
+        std::size_t ranks = 0;
+        for (std::size_t d = w; d < end; ++d)
+            ranks = std::max(ranks, present[d]->tasks);
+        for (std::size_t r = 0; r < ranks; ++r)
+            for (std::size_t d = w; d < end; ++d)
+                if (r < present[d]->tasks)
+                    order_.push_back(by_day[present[d]->start + r]);
+    }
+
+    // A day with two or more tasks is shared; the first task of its
+    // own list names it.
     days_ = std::make_unique<Day[]>(shared);
     std::size_t k = 0;
-    for (Tally &day : tally) {
-        if (day.tasks < 2)
+    for (Tally *day : present) {
+        if (day->tasks < 2)
             continue;
         Day &entry = days_[k++];
-        entry.firstTask = order_[day.next - day.tasks];
-        entry.leases = day.tasks;
-        entry.panelConstants = day.mppt >= 2;
-        day.shared = &entry;
+        entry.firstTask = by_day[day->start];
+        entry.leases = day->tasks;
+        entry.panelConstants = day->mppt >= 2;
+        day->shared = &entry;
     }
     for (std::size_t t = 0; t < tasks.size(); ++t)
         dayOf_[t] = tally_of(t).shared;
@@ -268,6 +304,7 @@ SharedDays::acquire(std::size_t t)
         const ScenarioUnit &unit = (*units_)[tasks_[day->firstTask]];
         core::stageDay(*stage, campaignModule(), dayTrace(unit),
                        grid_->dtSeconds, 1, 1, day->panelConstants);
+        stage->day = dayOf(unit);
         day->stage = std::move(stage);
     });
     lease.owner_ = this;
@@ -572,10 +609,10 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
     std::vector<std::unique_ptr<obs::Profiler>> profs(inproc.size());
     std::vector<std::unique_ptr<obs::Auditor>> audits(inproc.size());
 
-    // Tasks are claimed day by day (SharedDays::order), but every sink
-    // and result slot stays indexed by task, so the outputs do not
-    // depend on the claim order.
-    SharedDays days(grid, outcome.units, inproc);
+    // Tasks are claimed in windows of one day per pool thread
+    // (SharedDays::order), but every sink and result slot stays
+    // indexed by task, so the outputs do not depend on the claim order.
+    SharedDays days(grid, outcome.units, inproc, pool.threadCount());
     pool.parallelFor(inproc.size(), [&](std::size_t k) {
         const std::size_t t = days.order()[k];
         const std::size_t i = inproc[t];

@@ -89,7 +89,8 @@ struct CampaignOutcome
  * thread) so steady-state unit simulation is allocation-free. A
  * non-null @p stage is the unit's day, staged by SharedDays; without
  * one the unit stages its own day into the workspace. Both give the
- * same bits.
+ * same bits. Panics on a stage that does not name the unit's (site,
+ * month, seed) day (DayStage::day).
  */
 UnitMetrics runUnit(const ScenarioUnit &unit, const ScenarioGrid &grid,
                     obs::StatsRegistry *stats = nullptr,
@@ -107,18 +108,25 @@ UnitMetrics runUnit(const ScenarioUnit &unit, const ScenarioGrid &grid,
  * day alone. SharedDays groups the tasks of a run by day:
  *
  *  - a day with two or more tasks is staged once, by the first task
- *    that acquires it (the others wait for it), and released for
- *    reuse by a later day when its last task releases its lease;
+ *    that acquires it (any others that acquire it meanwhile wait),
+ *    and released for reuse by a later day when its last task
+ *    releases its lease;
  *  - it carries panel constants only when two or more of its tasks
  *    are MPPT policies: a stage prepares every step, one MPPT unit
  *    pinning lazily only its on-solar steps;
  *  - a day with one task is not shared: its unit stages into its own
  *    workspace, as a lone runUnit does.
  *
- * order() claims the tasks day by day, so with a pool claiming in
- * that order at most about one day per thread is live. A stage is a
- * pure function of the day, the grid's dt and the selected PV kernel,
- * so results do not depend on which thread builds it. Thread-safe.
+ * order() interleaves windows of `claimers` days, so the first claims
+ * of a window land on distinct days: each of the claiming threads
+ * builds a stage of its own instead of waiting for one builder. With
+ * the pool's threads claiming in that order, a new claim comes after
+ * every claim of the earlier windows, so only the current window's
+ * days and the days of the units still running elsewhere are live:
+ * at most 2 x claimers stages are ever allocated. A stage is a pure
+ * function of the day, the grid's dt and the selected PV kernel, so
+ * results do not depend on the claim order or on which thread builds
+ * it. Thread-safe.
  */
 class SharedDays
 {
@@ -144,20 +152,27 @@ class SharedDays
     };
 
     /**
-     * @param units expandGrid(@p grid)
-     * @param tasks indices into @p units of the units to simulate;
-     *              must outlive this table
+     * @param units    expandGrid(@p grid)
+     * @param tasks    indices into @p units of the units to simulate;
+     *                 must outlive this table
+     * @param claimers threads that claim tasks in order() (>= 1): the
+     *                 pool's threadCount(); 1 claims day by day
      */
     SharedDays(const ScenarioGrid &grid,
                const std::vector<ScenarioUnit> &units,
-               std::span<const std::size_t> tasks);
+               std::span<const std::size_t> tasks, int claimers = 1);
     ~SharedDays();
 
     SharedDays(const SharedDays &) = delete;
     SharedDays &operator=(const SharedDays &) = delete;
 
-    /** Task positions (into tasks) in claim order: day by day, days
-     *  in grid order (ScenarioUnit::day), tasks in order within a day. */
+    /**
+     * Task positions (into tasks) in claim order. The days that have
+     * tasks are cut, in grid order (ScenarioUnit::day), into windows
+     * of `claimers` days; within a window come the first task of each
+     * day, then the second of each, and so on. Each day's tasks keep
+     * their task order. With one claimer this is day by day.
+     */
     const std::vector<std::size_t> &order() const { return order_; }
 
     /**

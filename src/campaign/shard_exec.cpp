@@ -163,11 +163,13 @@ runWorkerShard(int fd, int worker_id, const ScenarioGrid &grid,
         bool write_failed = false;
 
         // The shard shares the days its own slice replays; tasks are
-        // claimed day by day, outputs stay indexed by task.
+        // claimed in windows of one day per thread, outputs stay
+        // indexed by task.
+        ThreadPool pool(options.threads);
         SharedDays days(grid, units,
                         std::span<const std::size_t>(pending).subspan(begin,
-                                                                      n));
-        ThreadPool pool(options.threads);
+                                                                      n),
+                        pool.threadCount());
         pool.parallelFor(n, [&](std::size_t k) {
             const std::size_t t = days.order()[k];
             const std::size_t i = pending[begin + t];

@@ -582,11 +582,12 @@ runDay(cpu::MultiCoreChip &chip, const pv::PvModule &module,
                 audit->checkRailVoltage(step_net.load.voltage,
                                         cfg.controller.railNominalV,
                                         "converter rail vs nominal");
+                const pv::CurveGap gap = array.curveGapAt(
+                    step_net.panel.voltage, step_net.panel.current);
                 audit->checkPanelPoint(
                     step_net.panel.current,
-                    array.currentAt(step_net.panel.voltage),
-                    array.currentAt(0.0),
-                    "solved panel point vs I-V curve");
+                    step_net.panel.current + gap.currentA,
+                    gap.photoCurrentA, "solved panel point vs I-V curve");
             }
             if (buffer)
                 audit->checkSocRange(buffer->socFraction(),
@@ -656,6 +657,7 @@ stageDay(DayStage &stage, const pv::PvModule &module,
     stage.newtonOracle = pv::newtonIvSolve();
     stage.startMinute = trace.startMinute();
     stage.endMinute = trace.endMinute();
+    stage.day.reset();
 
     // The sampling formula of solar::generateDayTrace. Stepping on an
     // integer index keeps the window's last step, which accumulating

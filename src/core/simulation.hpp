@@ -24,6 +24,7 @@
 #define SOLARCORE_CORE_SIMULATION_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -73,6 +74,10 @@ struct DayStage
     //! Per step, or empty: the controller then prepares each step's
     //! panel on its first pin, as a day run from a trace does.
     std::vector<pv::PreparedEnvironment> panel;
+    //! The generated day staged here, recorded by a stager that built
+    //! it from solar::generateDayTrace (campaign::SharedDays); stageDay
+    //! clears it. campaign::runUnit panics on a stage of another day.
+    std::optional<solar::DayId> day;
 
     std::size_t steps() const { return envs.size(); }
 

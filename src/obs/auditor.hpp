@@ -125,7 +125,10 @@ class Auditor
     /**
      * Solved panel operating point on the I-V curve: @p solved_a vs.
      * the curve's @p curve_a at the same voltage, relative to
-     * @p scale_a (use the short-circuit current).
+     * @p scale_a. The day loop passes the first-order curve current
+     * and the photocurrent from pv::PvArray::curveGapAt, a single-diode
+     * residual: one exp per step and no solve of the curve, so the
+     * check stays independent of the solver that found the point.
      */
     bool checkPanelPoint(double solved_a, double curve_a, double scale_a,
                          const char *context);

@@ -1,6 +1,7 @@
 #include "module.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.hpp"
 
@@ -69,6 +70,29 @@ double
 PvArray::shortCircuitCurrent() const
 {
     return module_.shortCircuitCurrent(env_) * modulesParallel_;
+}
+
+CurveGap
+PvArray::curveGapAt(double v, double i) const
+{
+    const SolarCell &cell = module_.cell();
+    const double strings =
+        static_cast<double>(module_.stringsParallel()) * modulesParallel_;
+    const double v_cell = v / modulesSeries_ / module_.cellsSeries();
+    const double i_cell = i / strings;
+    const double iph =
+        env_.irradiance > 0.0 ? cell.photoCurrent(env_) : 0.0;
+    const double i0 = cell.saturationCurrent(env_.cellTempC);
+    const double vt = cell.thermalVoltage(env_.cellTempC);
+    const double rs = cell.params().seriesRes;
+    // One exp serves both terms: e - 1 stands in for expm1, whose
+    // extra precision, scaled by I0, is far below the residual's own
+    // rounding.
+    const double e = std::exp((v_cell + i_cell * rs) / vt);
+    const double r = iph - i0 * (e - 1.0) - i_cell;
+    const double g = i0 * rs / vt * e;
+    const double curve = std::max(0.0, i_cell + r / (1.0 + g));
+    return {(curve - i_cell) * strings, iph * strings};
 }
 
 } // namespace solarcore::pv

@@ -79,6 +79,23 @@ class PvModule
     double noctC_;
 };
 
+/**
+ * How far a terminal point lies off an array's I-V curve, to first
+ * order, found without solving the curve. At cell level, with the
+ * single-diode residual of the point (v, i)
+ *
+ *   r = Iph - I0 expm1((v + i Rs) / Vt) - i
+ *
+ * and its slope term g = (I0 Rs / Vt) exp((v + i Rs) / Vt), one Newton
+ * step from i reaches the curve current i + r / (1 + g); it is clamped
+ * at 0, as the blocking diode clamps PvModule::currentAt.
+ */
+struct CurveGap
+{
+    double currentA = 0.0;      //!< curve current minus the point's [A]
+    double photoCurrentA = 0.0; //!< array photocurrent: Isc to ~1e-9 [A]
+};
+
 /** A PV array: identical modules in series-parallel, as one IvSource. */
 class PvArray : public IvSource
 {
@@ -97,6 +114,13 @@ class PvArray : public IvSource
     double currentAt(double v) const override;
     double openCircuitVoltage() const override;
     double shortCircuitCurrent() const;
+
+    /**
+     * The point (@p v [V], @p i [A]) against the curve: one exp and no
+     * Lambert-W or Newton solve, so it checks any solver's point, the
+     * Newton oracle's included.
+     */
+    CurveGap curveGapAt(double v, double i) const;
 
   private:
     PvModule module_;

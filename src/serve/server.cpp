@@ -695,6 +695,7 @@ Server::executeQueryWith(const Request &req, std::string &body,
             trace->closeSpan(span);
         }
     }
+    // One planner thread claims this request's units: day by day.
     campaign::SharedDays days(grid, units, misses);
     for (const std::size_t t : days.order()) {
         if (deadline_passed()) {

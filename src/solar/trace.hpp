@@ -87,6 +87,17 @@ class SolarTrace
 SolarTrace generateDayTrace(SiteId site, Month month, std::uint64_t seed,
                             double dt_minutes = 1.0);
 
+/** The arguments that name a generated day: generateDayTrace(site,
+ *  month, seed) at the default spacing. */
+struct DayId
+{
+    SiteId site = SiteId::AZ;
+    Month month = Month::Jan;
+    std::uint64_t seed = 0;
+
+    bool operator==(const DayId &) const = default;
+};
+
 /**
  * Generate a daytime trace for an arbitrary location and sky: the
  * building block behind generateDayTrace, exposed so users can study

@@ -32,6 +32,12 @@ ThreadPool::hardwareThreads()
     return std::max(1u, std::thread::hardware_concurrency());
 }
 
+int
+ThreadPool::maxThreads()
+{
+    return kThreadsPerHardwareThread * hardwareThreads();
+}
+
 void
 ThreadPool::runJob()
 {

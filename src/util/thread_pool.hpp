@@ -62,6 +62,18 @@ class ThreadPool
     /** Hardware concurrency with a floor of 1. */
     static int hardwareThreads();
 
+    /** Threads per hardware thread that maxThreads() allows. */
+    static constexpr int kThreadsPerHardwareThread = 16;
+
+    /**
+     * The most threads a tool starts for one count it reads (threads,
+     * workers, or threads x workers): kThreadsPerHardwareThread x
+     * hardwareThreads(). Each tool refuses a larger count with its
+     * usage text, so a mistyped count cannot ask the OS for 2^31
+     * threads. The pool itself takes any count its caller passes.
+     */
+    static int maxThreads();
+
   private:
     void workerLoop();
     void runJob();

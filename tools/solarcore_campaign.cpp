@@ -24,7 +24,9 @@
  *   --threads=N (0 = all hardware threads)
  *   --workers=N  fork N worker processes, each running a contiguous
  *     shard of the unit list over its own --threads pool; the summary
- *     stays byte-identical to --workers=1
+ *     stays byte-identical to --workers=1. --threads, --workers and
+ *     their product are each at most ThreadPool::maxThreads() (16 per
+ *     hardware thread).
  *   --unit-cache=DIR --unit-cache-cap=N   persistent on-disk LRU of
  *     unit results; warm re-runs and overlapping grids skip simulation
  *   --out=FILE (default stdout)  --journal=FILE  --resume  --verbose
@@ -42,6 +44,8 @@
  * the golden gate also asserts "zero invariant violations".
  */
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -51,6 +55,7 @@
 #include "obs/span.hpp"
 #include "pv/pv_kernel.hpp"
 #include "util/parse_number.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace solarcore;
 
@@ -183,6 +188,23 @@ main(int argc, char **argv)
     if (const std::string error = campaign::validateGrid(grid);
         !error.empty())
         usage(error.c_str());
+    // One thread cap for the pool, the worker count and every worker's
+    // pool together; 0 threads means all hardware threads.
+    const std::int64_t cap = ThreadPool::maxThreads();
+    const std::int64_t threads =
+        options.threads == 0 ? ThreadPool::hardwareThreads()
+                             : options.threads;
+    const std::int64_t workers = std::max(1, options.workers);
+    const std::string over = " above the thread cap of " +
+        std::to_string(cap) + " (" +
+        std::to_string(ThreadPool::kThreadsPerHardwareThread) +
+        " per hardware thread)";
+    if (threads > cap)
+        usage(("--threads" + over).c_str());
+    if (workers > cap)
+        usage(("--workers" + over).c_str());
+    if (threads * workers > cap)
+        usage(("--workers x --threads" + over).c_str());
 
     std::cerr << "campaign: " << grid.unitCount() << " units\n";
     const auto outcome = campaign::runCampaign(grid, options);

@@ -27,6 +27,7 @@
 
 #include "serve/server.hpp"
 #include "util/parse_number.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace solarcore;
 
@@ -48,7 +49,8 @@ usage(const char *complaint = nullptr)
     std::cerr <<
         "usage: solarcore_serve --socket=PATH [options]\n"
         "  --socket=PATH            AF_UNIX socket to bind (required)\n"
-        "  --workers=N              planner worker threads (default 2)\n"
+        "  --workers=N              planner worker threads (default 2,\n"
+        "                           at most 16 per hardware thread)\n"
         "  --queue-depth=N          admission bound (default 64)\n"
         "  --result-cache-cap=N     answer LRU entries (default 1024,"
         " 0 off)\n"
@@ -141,6 +143,10 @@ main(int argc, char **argv)
         else
             usage(("unknown option " + key).c_str());
     }
+    if (config.workers > ThreadPool::maxThreads())
+        usage(("bad value for --workers: above the thread cap of " +
+               std::to_string(ThreadPool::maxThreads()))
+                  .c_str());
     if (config.socketPath.empty())
         usage("--socket=PATH is required");
     if (!serve::serveSupported()) {
