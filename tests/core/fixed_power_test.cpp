@@ -5,6 +5,7 @@
  * the Pareto-frontier DP against the dense-grid DP it replaced.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -307,13 +308,37 @@ TEST(FixedPower, GatingForbiddenMatchesBruteForce)
     }
 }
 
+/** Sum of every core's cheapest choice, in @p res grid units. */
+int
+cheapestUnits(const cpu::MultiCoreChip &chip, double res)
+{
+    int units = 0;
+    for (int i = 0; i < chip.numCores(); ++i) {
+        int bottom = std::numeric_limits<int>::max();
+        for (const Choice &ch : coreChoices(chip, i))
+            bottom = std::min(
+                bottom, static_cast<int>(std::ceil(ch.powerW / res - 1e-12)));
+        units += bottom;
+    }
+    return units;
+}
+
 TEST(FixedPower, FrontierMatchesDenseDpBitwise)
 {
-    // Random chips, core states, DVFS tables, PCPG settings, budgets
-    // and resolutions: the frontier DP must return exactly the dense
-    // DP's allocation. Profiles repeat across cores, some chips share
-    // one die temperature, and coarse grids merge costs -- all to force
-    // ties, which only the dense DP's relaxation order resolves.
+    // The allocator must return exactly the dense DP's allocation. Four
+    // slices of inputs:
+    //  - random chips, core states, DVFS tables, PCPG settings, budgets
+    //    and resolutions; profiles repeat across cores, some chips share
+    //    one die temperature, and coarse grids merge costs -- all to
+    //    force ties, which only the dense DP's relaxation order
+    //    resolves;
+    //  - the campaign regime: 8 cores, the paper's table, 0.1 W,
+    //    20-150 W, 40-95 C, PCPG on and off;
+    //  - tie-saturated chips: one single-phase profile and one die
+    //    temperature on every core, at every resolution;
+    //  - budgets within 2 units of the cheapest allocation, where
+    //    feasibility flips and the lower bound has at most 2 units
+    //    beyond the base choices.
     std::mt19937_64 rng(0x5eedf1a7ull);
     auto uniform = [&rng](double lo, double hi) {
         return std::uniform_real_distribution<double>(lo, hi)(rng);
@@ -325,9 +350,23 @@ TEST(FixedPower, FrontierMatchesDenseDpBitwise)
                                      cpu::DvfsTable::interpolated(3),
                                      cpu::DvfsTable::interpolated(21)};
     const double resolutions[] = {0.01, 0.05, 0.1, 0.25, 1.0};
-    constexpr int kCases = 3000;
+    int cases = 0;
     int mismatches = 0;
-    for (int k = 0; k < kCases; ++k) {
+    auto check = [&](const char *slice, const cpu::MultiCoreChip &chip,
+                     double budget, double res) {
+        ++cases;
+        const auto want = denseReference(chip, budget, res);
+        const auto got = optimizeAllocation(chip, budget, res);
+        const std::string diff = allocationMismatch(got, want);
+        if (!diff.empty() && ++mismatches <= 5)
+            ADD_FAILURE() << slice << " case " << cases << ": " << diff
+                          << " differs (" << chip.numCores() << " cores, "
+                          << chip.dvfs().numLevels() << " levels, budget "
+                          << budget << " W, res " << res << " W)";
+        return want.feasible;
+    };
+
+    for (int k = 0; k < 3000; ++k) {
         const int cores = pick(1, 12);
         const auto set = workload::workloadSet(
             static_cast<workload::WorkloadId>(
@@ -359,17 +398,70 @@ TEST(FixedPower, FrontierMatchesDenseDpBitwise)
         const double budget = pick(0, 4) == 0
             ? static_cast<double>(pick(1, 25 * cores))
             : uniform(0.0, 25.0 * cores);
-        const double res = resolutions[pick(0, 4)];
-        const auto want = denseReference(chip, budget, res);
-        const auto got = optimizeAllocation(chip, budget, res);
-        const std::string diff = allocationMismatch(got, want);
-        if (!diff.empty() && ++mismatches <= 5)
-            ADD_FAILURE() << "case " << k << ": " << diff << " differs ("
-                          << cores << " cores, " << table.numLevels()
-                          << " levels, budget " << budget << " W, res "
-                          << res << " W)";
+        check("random", chip, budget, resolutions[pick(0, 4)]);
     }
-    EXPECT_EQ(mismatches, 0);
+
+    for (int k = 0; k < 600; ++k) {
+        auto chip = makeChip(static_cast<workload::WorkloadId>(
+            k % workload::kNumWorkloads));
+        chip.step(uniform(0.0, 3600.0));
+        chip.setGatingAllowed(k % 2 == 0);
+        for (int i = 0; i < chip.numCores(); ++i)
+            chip.core(i).setDieTempC(uniform(40.0, 95.0));
+        check("campaign", chip, uniform(20.0, 150.0), 0.1);
+    }
+
+    for (int k = 0; k < 60; ++k) {
+        const int cores = pick(1, 8);
+        const auto set = workload::workloadSet(
+            static_cast<workload::WorkloadId>(
+                pick(0, workload::kNumWorkloads - 1)));
+        auto profile = set[static_cast<std::size_t>(
+            pick(0, static_cast<int>(set.size()) - 1))];
+        profile.phases = {profile.phases[static_cast<std::size_t>(
+            pick(0, static_cast<int>(profile.phases.size()) - 1))]};
+        auto cfg = cpu::defaultChipConfig();
+        cfg.numCores = cores;
+        cpu::MultiCoreChip chip(
+            cfg, tables[pick(0, 2)], cpu::EnergyParams{},
+            std::vector<cpu::BenchmarkProfile>(
+                static_cast<std::size_t>(cores), profile),
+            static_cast<std::uint64_t>(k));
+        chip.setGatingAllowed(pick(0, 3) != 0);
+        const double temp = uniform(40.0, 95.0);
+        for (int i = 0; i < cores; ++i)
+            chip.core(i).setDieTempC(temp);
+        const double budget = uniform(0.0, 20.0 * cores);
+        for (double res : resolutions)
+            check("tied", chip, budget, res);
+    }
+
+    for (int k = 0; k < 200; ++k) {
+        auto cfg = cpu::defaultChipConfig();
+        cfg.numCores = pick(1, 12);
+        auto profiles = workload::workloadSet(
+            static_cast<workload::WorkloadId>(
+                pick(0, workload::kNumWorkloads - 1)));
+        profiles.resize(static_cast<std::size_t>(cfg.numCores),
+                        profiles[0]);
+        cpu::MultiCoreChip chip(cfg, tables[pick(0, 2)],
+                                cpu::EnergyParams{}, std::move(profiles),
+                                static_cast<std::uint64_t>(k));
+        chip.step(uniform(0.0, 600.0));
+        chip.setGatingAllowed(pick(0, 1) != 0);
+        for (int i = 0; i < chip.numCores(); ++i)
+            chip.core(i).setDieTempC(uniform(40.0, 95.0));
+        const double res = resolutions[pick(0, 4)];
+        const int floor_units = cheapestUnits(chip, res);
+        for (int d = -2; d <= 2; ++d) {
+            // Half a unit above the grid line, so the budget floors to
+            // exactly floor_units + d units.
+            const double budget = (floor_units + d + 0.5) * res;
+            EXPECT_EQ(check("edge", chip, budget, res), d >= 0)
+                << "case " << cases << ": " << budget << " W";
+        }
+    }
+    EXPECT_EQ(mismatches, 0) << "of " << cases << " cases";
 }
 
 TEST(FixedPower, PrefersEfficientCoresUnderTightBudget)
