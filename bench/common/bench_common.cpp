@@ -42,8 +42,7 @@ standardTrace(solar::SiteId site, solar::Month month)
 core::DayResult
 runDay(solar::SiteId site, solar::Month month, workload::WorkloadId wl,
        core::PolicyKind policy, double fixed_budget_w, bool timeline,
-       double dt_seconds, obs::StatsRegistry *stats, obs::TraceBuffer *trace,
-       obs::TelemetryRecorder *telemetry, obs::Auditor *audit)
+       double dt_seconds, obs::Recorders *recorders)
 {
     core::SimConfig cfg;
     cfg.policy = policy;
@@ -51,10 +50,7 @@ runDay(solar::SiteId site, solar::Month month, workload::WorkloadId wl,
     cfg.dtSeconds = dt_seconds;
     cfg.recordTimeline = timeline;
     cfg.seed = kBenchSeed;
-    cfg.stats = stats;
-    cfg.trace = trace;
-    cfg.telemetry = telemetry;
-    cfg.audit = audit;
+    cfg.recorders = recorders;
     return core::simulateDay(standardModule(), standardTrace(site, month),
                              wl, cfg);
 }
@@ -76,15 +72,6 @@ threadsFromArgs(int argc, char **argv)
         std::exit(2);
     }
     return 0;
-}
-
-obs::ObsOptions
-obsOptionsFromArgs(int argc, char **argv)
-{
-    obs::ObsOptions opts;
-    for (int i = 1; i < argc; ++i)
-        opts.consume(argv[i]);
-    return opts;
 }
 
 core::BatteryDayResult

@@ -14,7 +14,6 @@
 #include <string>
 
 #include "core/solarcore.hpp"
-#include "obs/obs_options.hpp"
 
 namespace solarcore::bench {
 
@@ -40,19 +39,13 @@ inline constexpr double kBenchDtSeconds = 30.0;
  * @param fixed_budget_w Fixed-Power budget (ignored for MPPT policies)
  * @param timeline     record the per-minute trace
  * @param dt_seconds   simulation step
- * @param stats        optional stats registry (one per worker)
- * @param trace        optional event-trace sink (one per worker)
- * @param telemetry    optional per-step waveform recorder
- * @param audit        optional invariant auditor
+ * @param recorders    optional recorders of the day (one set per task)
  */
 core::DayResult runDay(solar::SiteId site, solar::Month month,
                        workload::WorkloadId wl, core::PolicyKind policy,
                        double fixed_budget_w = 75.0, bool timeline = false,
                        double dt_seconds = kBenchDtSeconds,
-                       obs::StatsRegistry *stats = nullptr,
-                       obs::TraceBuffer *trace = nullptr,
-                       obs::TelemetryRecorder *telemetry = nullptr,
-                       obs::Auditor *audit = nullptr);
+                       obs::Recorders *recorders = nullptr);
 
 /**
  * Parse a `--threads=N` argument (0 or omitted: all hardware threads).
@@ -62,13 +55,6 @@ core::DayResult runDay(solar::SiteId site, solar::Month month,
  * prints the usage and exits 2.
  */
 int threadsFromArgs(int argc, char **argv);
-
-/**
- * Collect the shared observability flags (--stats-out=, --trace-out=,
- * --trace-buffer=, --manifest-out=) from argv; unrecognized arguments
- * are left for the binary's own parser.
- */
-obs::ObsOptions obsOptionsFromArgs(int argc, char **argv);
 
 /** Run the battery baseline for a site-month/workload. */
 core::BatteryDayResult runBatteryDay(solar::SiteId site, solar::Month month,

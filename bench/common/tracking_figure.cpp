@@ -1,20 +1,40 @@
 #include "tracking_figure.hpp"
 
+#include <cstdlib>
 #include <iostream>
-#include <memory>
+#include <optional>
+#include <string_view>
 
 #include "obs/manifest.hpp"
-#include "obs/stats_registry.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorders.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
 namespace solarcore::bench {
 
+namespace {
+
+[[noreturn]] void
+usage(const char *argv0)
+{
+    std::cerr << argv0
+              << ": a figure serves no metrics and arms no flight "
+                 "recorder\n"
+              << "usage: " << argv0
+              << " [--csv] [--threads=N] [--stats-out=FILE]\n"
+                 "    [--trace-out=FILE] [--trace-buffer=N] "
+                 "[--manifest-out=FILE]\n"
+                 "    [--telemetry-out=FILE] [--telemetry-every=N] "
+                 "[--telemetry-mode=every|minmax]\n"
+                 "    [--profile-out=FILE] [--audit=off|count|strict] "
+                 "[--audit-out=FILE]\n";
+    std::exit(2);
+}
+
 void
 printTrackingFigure(solar::SiteId site, solar::Month month,
                     const char *figure_name, bool csv, int threads,
-                    const obs::ObsOptions *obs)
+                    const obs::ObsOptions &opts)
 {
     const workload::WorkloadId wls[] = {workload::WorkloadId::H1,
                                         workload::WorkloadId::HM2,
@@ -30,52 +50,35 @@ printTrackingFigure(solar::SiteId site, solar::Month month,
                         "), budget vs consumption [W]");
     }
 
-    // Warm the shared trace cache before fanning out; results land in
-    // index-addressed slots. Observability follows the same pattern:
-    // per-worker registries and trace buffers, merged below in
-    // task-index order, keep every output byte-identical at any
-    // thread count.
+    // Warm the shared trace cache before fanning out; results and
+    // recorders land in index-addressed slots, and the recorders merge
+    // in task order, so every output is byte-identical at any thread
+    // count.
     standardTrace(site, month);
-    const bool want_stats = obs && obs->statsRequested();
-    const bool want_trace = obs && obs->traceRequested();
     core::DayResult results[3];
-    std::unique_ptr<obs::StatsRegistry> regs[3];
-    std::unique_ptr<obs::TraceBuffer> tbufs[3];
+    obs::Recorders recs[3];
     ThreadPool pool(threads);
     pool.parallelFor(3, [&](std::size_t i) {
-        if (want_stats)
-            regs[i] = std::make_unique<obs::StatsRegistry>();
-        if (want_trace)
-            tbufs[i] =
-                std::make_unique<obs::TraceBuffer>(obs->traceBufferCap);
+        recs[i] = obs::Recorders(opts);
+        std::optional<obs::Profiler::Attach> attach;
+        if (recs[i].profiler)
+            attach.emplace(recs[i].profiler.get());
         results[i] = runDay(site, month, wls[i], core::PolicyKind::MpptOpt,
                             75.0, /*timeline=*/true, /*dt=*/15.0,
-                            regs[i].get(), tbufs[i].get());
+                            &recs[i]);
+        recs[i].foldAudit();
     });
 
-    if (obs && obs->anyRequested()) {
-        if (want_stats) {
-            obs::StatsRegistry merged;
-            for (const auto &r : regs)
-                merged.merge(*r);
-            obs->writeStats(merged);
-        }
-        if (want_trace) {
-            obs->writeTrace(
-                obs::mergeBuffers(
-                    {tbufs[0].get(), tbufs[1].get(), tbufs[2].get()}),
-                {"H1", "HM2", "L1"});
-        }
-        manifest.set("site", std::string(solar::siteName(site)));
-        manifest.set("month", std::string(solar::monthName(month)));
-        manifest.set("threads",
-                     static_cast<std::uint64_t>(pool.threadCount()));
-        manifest.set("policy",
-                     std::string(core::policyName(
-                         core::PolicyKind::MpptOpt)));
-        manifest.setSeed(kBenchSeed);
-        obs->writeManifest(manifest);
-    }
+    obs::StatsRegistry stats;
+    obs::writeRun(opts, recs, {"H1", "HM2", "L1"},
+                  obs::TelemetryLayout::Tasks, stats, manifest);
+    manifest.set("site", std::string(solar::siteName(site)));
+    manifest.set("month", std::string(solar::monthName(month)));
+    manifest.set("threads", static_cast<std::uint64_t>(pool.threadCount()));
+    manifest.set("policy",
+                 std::string(core::policyName(core::PolicyKind::MpptOpt)));
+    manifest.setSeed(kBenchSeed);
+    opts.writeManifest(manifest);
 
     TextTable t;
     t.header({"minute", "budget", "H1 drawn", "HM2 drawn", "L1 drawn"});
@@ -112,6 +115,25 @@ printTrackingFigure(solar::SiteId site, solar::Month month,
     std::cout << "paper: consumption closely follows the budget; H1 "
                  "ripples hardest, L1 and heterogeneous mixes are "
                  "smoother.\n";
+}
+
+} // namespace
+
+int
+trackingFigureMain(int argc, char **argv, solar::SiteId site,
+                   solar::Month month, const char *figure_name)
+{
+    bool csv = false;
+    obs::ObsOptions opts;
+    for (int i = 1; i < argc; ++i) {
+        csv = csv || std::string_view(argv[i]) == "--csv";
+        opts.consume(argv[i]);
+    }
+    if (opts.metricsRequested() || opts.postmortemRequested())
+        usage(argv[0]);
+    printTrackingFigure(site, month, figure_name, csv,
+                        threadsFromArgs(argc, argv), opts);
+    return 0;
 }
 
 } // namespace solarcore::bench

@@ -14,20 +14,21 @@
 namespace solarcore::bench {
 
 /**
- * Print one tracking-accuracy figure for @p site / @p month.
- * @param csv     emit machine-readable CSV instead of the aligned table
- * @param threads fan the per-workload days across a pool; the table is
- *                assembled in workload order, so the output is
- *                byte-identical for any thread count
- * @param obs     optional observability outputs: each worker records
- *                into its own registry/buffer and the streams are
- *                merged in task-index order, so stats dumps and traces
- *                are also byte-identical for any thread count
+ * The main() of one tracking-accuracy figure for @p site / @p month.
+ *
+ * Flags: --csv prints machine-readable CSV instead of the aligned
+ * table; --threads=N fans the per-workload days across a pool (the
+ * table is assembled in workload order, so the output is byte-identical
+ * for any thread count); the obs::ObsOptions file flags record the
+ * three days, each task into its own recorders, merged in task order,
+ * so every file is byte-identical for any thread count too. The
+ * telemetry CSV's unit column is the task (0 H1, 1 HM2, 2 L1).
+ * --metrics-out, --metrics-port and --postmortem-out end in the usage
+ * text (exit 2): a figure serves no metrics and arms no flight
+ * recorder.
  */
-void printTrackingFigure(solar::SiteId site, solar::Month month,
-                         const char *figure_name, bool csv = false,
-                         int threads = 1,
-                         const obs::ObsOptions *obs = nullptr);
+int trackingFigureMain(int argc, char **argv, solar::SiteId site,
+                       solar::Month month, const char *figure_name);
 
 } // namespace solarcore::bench
 

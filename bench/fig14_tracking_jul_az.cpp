@@ -5,20 +5,12 @@
  * H1, HM2 and L1 workloads.
  */
 
-#include <string_view>
-
 #include "common/tracking_figure.hpp"
 
 int
 main(int argc, char **argv)
 {
-    bool csv = false;
-    for (int i = 1; i < argc; ++i)
-        csv = csv || std::string_view(argv[i]) == "--csv";
-    const auto obs = solarcore::bench::obsOptionsFromArgs(argc, argv);
-    solarcore::bench::printTrackingFigure(
-        solarcore::solar::SiteId::AZ, solarcore::solar::Month::Jul,
-        "Figure 14", csv, solarcore::bench::threadsFromArgs(argc, argv),
-        &obs);
-    return 0;
+    return solarcore::bench::trackingFigureMain(
+        argc, argv, solarcore::solar::SiteId::AZ,
+        solarcore::solar::Month::Jul, "Figure 14");
 }

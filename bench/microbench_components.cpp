@@ -9,17 +9,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "common/bench_common.hpp"
 #include "pv/pv_kernel.hpp"
-#include "obs/auditor.hpp"
-#include "obs/profiler.hpp"
-#include "obs/stats_registry.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorders.hpp"
 
 using namespace solarcore;
 
@@ -412,16 +409,16 @@ void
 BM_SimulatedDayTraced(benchmark::State &state)
 {
     // Full observability: stats registry plus event trace attached.
-    obs::StatsRegistry reg;
-    obs::TraceBuffer buf(1 << 16);
+    obs::Recorders rec;
+    rec.stats = std::make_unique<obs::StatsRegistry>();
+    rec.trace = std::make_unique<obs::TraceBuffer>(1 << 16);
     for (auto _ : state) {
-        buf.clear();
+        rec.trace->clear();
         benchmark::DoNotOptimize(
             bench::runDay(solar::SiteId::AZ, solar::Month::Apr,
                           workload::WorkloadId::HM2,
                           core::PolicyKind::MpptOpt, 75.0, false,
-                          static_cast<double>(state.range(0)), &reg,
-                          &buf));
+                          static_cast<double>(state.range(0)), &rec));
     }
 }
 BENCHMARK(BM_SimulatedDayTraced)
@@ -433,15 +430,15 @@ BM_SimulatedDayTelemetry(benchmark::State &state)
 {
     // Waveform recording attached: every step samples the full
     // channel superset (panel, converter, rail, chip, per-core).
-    obs::TelemetryRecorder rec;
+    obs::Recorders rec;
+    rec.telemetry = std::make_unique<obs::TelemetryRecorder>();
     for (auto _ : state) {
-        rec.clear();
+        rec.telemetry->clear();
         benchmark::DoNotOptimize(
             bench::runDay(solar::SiteId::AZ, solar::Month::Apr,
                           workload::WorkloadId::HM2,
                           core::PolicyKind::MpptOpt, 75.0, false,
-                          static_cast<double>(state.range(0)), nullptr,
-                          nullptr, &rec));
+                          static_cast<double>(state.range(0)), &rec));
     }
 }
 BENCHMARK(BM_SimulatedDayTelemetry)
@@ -473,13 +470,13 @@ BM_SimulatedDayAudited(benchmark::State &state)
     // Invariant auditor in counting mode: the per-step physics checks
     // (budget, rail, panel point, per-core DVFS legality).
     for (auto _ : state) {
-        obs::Auditor audit;
+        obs::Recorders rec;
+        rec.audit = std::make_unique<obs::Auditor>();
         benchmark::DoNotOptimize(
             bench::runDay(solar::SiteId::AZ, solar::Month::Apr,
                           workload::WorkloadId::HM2,
                           core::PolicyKind::MpptOpt, 75.0, false,
-                          static_cast<double>(state.range(0)), nullptr,
-                          nullptr, nullptr, &audit));
+                          static_cast<double>(state.range(0)), &rec));
     }
 }
 BENCHMARK(BM_SimulatedDayAudited)

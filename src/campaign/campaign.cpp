@@ -15,16 +15,12 @@
 #include "campaign/shard_exec.hpp"
 #include "campaign/unit_cache.hpp"
 #include "core/simulation.hpp"
-#include "obs/auditor.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics_export.hpp"
-#include "obs/profiler.hpp"
+#include "obs/recorders.hpp"
 #include "obs/span.hpp"
-#include "obs/stats_registry.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "pv/bp3180n.hpp"
 #include "pv/pv_kernel.hpp"
 #include "solar/trace.hpp"
@@ -122,9 +118,8 @@ const MetricField (&metricFields())[kNumMetricFields]
 
 UnitMetrics
 runUnit(const ScenarioUnit &unit, const ScenarioGrid &grid,
-        obs::StatsRegistry *stats, obs::TraceBuffer *trace,
-        obs::TelemetryRecorder *telemetry, obs::Auditor *audit,
-        core::SimWorkspace *workspace, const core::DayStage *stage)
+        obs::Recorders *recorders, core::SimWorkspace *workspace,
+        const core::DayStage *stage)
 {
     SC_ASSERT(!stage || stage->day == dayOf(unit),
               "runUnit: stage of another day than ", unitKey(unit));
@@ -134,10 +129,7 @@ runUnit(const ScenarioUnit &unit, const ScenarioGrid &grid,
     cfg.fixedBudgetW = grid.fixedBudgetW;
     cfg.trackingPeriodMinutes = grid.trackingPeriodMinutes;
     cfg.seed = unit.seed;
-    cfg.stats = stats;
-    cfg.trace = trace;
-    cfg.telemetry = telemetry;
-    cfg.audit = audit;
+    cfg.recorders = recorders;
     cfg.workspace = workspace;
 
     UnitMetrics m;
@@ -155,10 +147,10 @@ runUnit(const ScenarioUnit &unit, const ScenarioGrid &grid,
                   : core::simulateDay(module, dayTrace(unit), unit.workload,
                                       cfg));
     }
-    if (audit) {
-        m.auditViolations = static_cast<double>(audit->violationCount());
-        if (stats)
-            audit->foldInto(*stats);
+    if (recorders && recorders->audit) {
+        m.auditViolations =
+            static_cast<double>(recorders->audit->violationCount());
+        recorders->foldAudit();
     }
     return m;
 }
@@ -427,22 +419,14 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
         for (const std::size_t i : cached_indices)
             journal->append(static_cast<int>(i), outcome.results[i]);
 
-    const bool want_stats = options.obs.statsRequested();
-    const bool want_trace = options.obs.traceRequested();
-    const bool want_telem = options.obs.telemetryRequested();
-    const bool want_profile = options.obs.profileRequested();
-    const bool want_audit = options.obs.auditRequested();
-    obs::AuditorConfig audit_cfg;
-    if (options.obs.audit != obs::AuditMode::Off)
-        audit_cfg.mode = options.obs.audit;
-
-    // Heavy per-unit sinks stream objects (trace buffers, telemetry
+    // Heavy per-unit recorders stream objects (trace buffers, telemetry
     // rows, profiler trees, audit violation records) that do not cross
     // the worker pipe; they force the in-process path. Plain
     // --audit=count still works under workers: the violation count
     // rides in the unit metrics and audit.* counters in the stats wire.
-    const bool heavy = want_trace || want_telem || want_profile ||
-        !options.obs.auditOut.empty();
+    const bool heavy = options.obs.traceRequested() ||
+        options.obs.telemetryRequested() ||
+        options.obs.profileRequested() || !options.obs.auditOut.empty();
     bool use_workers = options.workers > 1 && !pending.empty();
     if (use_workers && heavy) {
         SC_WARN("campaign: --workers needs per-process sinks "
@@ -580,9 +564,9 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
                              shard->spans().size());
         outcome.workerCrashes = static_cast<int>(shard->crashes());
         inproc = shard->unfinished();
-        if (want_stats) {
+        if (options.obs.statsRequested()) {
             // Worker registries come first (worker-id order), then the
-            // in-process leftovers below in task order.
+            // in-process leftovers below in unit order.
             merged_stats.merge(shard->stats());
             if (!shard->statsValid())
                 SC_WARN("campaign: some worker stats were lost; the "
@@ -602,51 +586,37 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
         : rtrace.openSpan("inproc", root_id);
     const std::uint64_t inproc_id = rtrace.spanId(inproc_span);
 
-    std::vector<std::unique_ptr<obs::StatsRegistry>> regs(inproc.size());
-    std::vector<std::unique_ptr<obs::TraceBuffer>> tbufs(inproc.size());
-    std::vector<std::unique_ptr<obs::TelemetryRecorder>> telems(
-        inproc.size());
-    std::vector<std::unique_ptr<obs::Profiler>> profs(inproc.size());
-    std::vector<std::unique_ptr<obs::Auditor>> audits(inproc.size());
+    // The run's tasks are its grid's units: each unit simulated here
+    // records into its own slot; the others (resumed, cached, run by a
+    // worker) record nothing.
+    std::vector<obs::Recorders> recs(n);
 
     // Tasks are claimed in windows of one day per pool thread
-    // (SharedDays::order), but every sink and result slot stays
-    // indexed by task, so the outputs do not depend on the claim order.
+    // (SharedDays::order), but every recorder and result slot stays
+    // indexed by unit, so the outputs do not depend on the claim order.
     SharedDays days(grid, outcome.units, inproc, pool.threadCount());
     pool.parallelFor(inproc.size(), [&](std::size_t k) {
         const std::size_t t = days.order()[k];
         const std::size_t i = inproc[t];
         const std::string key = unitKey(outcome.units[i]);
         const bool fresh = !reported[i];
-        if (want_stats)
-            regs[t] = std::make_unique<obs::StatsRegistry>();
-        if (want_trace)
-            tbufs[t] = std::make_unique<obs::TraceBuffer>(
-                options.obs.traceBufferCap);
-        if (want_telem)
-            telems[t] = std::make_unique<obs::TelemetryRecorder>(
-                options.obs.telemetryEvery, options.obs.telemetryMode);
-        if (want_profile)
-            profs[t] = std::make_unique<obs::Profiler>();
-        if (want_audit)
-            audits[t] = std::make_unique<obs::Auditor>(audit_cfg);
+        obs::Recorders &recorders = recs[i] = obs::Recorders(options.obs);
         if (health && fresh)
             health->unitStarted(key);
         const std::int64_t unit_t0 = want_spans ? obs::spanNowNs() : 0;
-        obs::FlightRecorder::beginUnit(key.c_str(), tbufs[t].get());
+        obs::FlightRecorder::beginUnit(key.c_str(), recorders.trace.get());
         {
             std::optional<obs::Profiler::Attach> attach;
-            if (profs[t])
-                attach.emplace(profs[t].get());
+            if (recorders.profiler)
+                attach.emplace(recorders.profiler.get());
             SC_PROFILE_SCOPE("campaign.unit");
             const SharedDays::Lease lease = days.acquire(t);
             // One workspace per pool thread: per-day step buffers keep
             // their capacity across every unit this thread simulates.
             static thread_local core::SimWorkspace workspace;
-            outcome.results[i] =
-                runUnit(outcome.units[i], grid, regs[t].get(),
-                        tbufs[t].get(), telems[t].get(), audits[t].get(),
-                        &workspace, lease.stage());
+            outcome.results[i] = runUnit(outcome.units[i], grid,
+                                         &recorders, &workspace,
+                                         lease.stage());
         }
         obs::FlightRecorder::endUnit();
         if (want_spans) {
@@ -690,27 +660,30 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
         health->finish();
     }
 
-    if (want_stats) {
-        for (const auto &reg : regs)
-            if (reg)
-                merged_stats.merge(*reg);
-        if (cache) {
-            const UnitCacheCounters c = cache->counters();
-            merged_stats.scalar("campaign.unitCache.hits",
-                                "persistent unit-cache lookup hits") +=
-                static_cast<double>(c.hits);
-            merged_stats.scalar("campaign.unitCache.misses",
-                                "persistent unit-cache lookup misses") +=
-                static_cast<double>(c.misses);
-            merged_stats.scalar("campaign.unitCache.stores",
-                                "persistent unit-cache entries written") +=
-                static_cast<double>(c.stores);
-            merged_stats.scalar("campaign.unitCache.evictions",
-                                "persistent unit-cache LRU evictions") +=
-                static_cast<double>(c.evictions);
-        }
-        options.obs.writeStats(merged_stats);
+    // The unit-cache counters are the campaign's own keys: no task
+    // records them, so adding them ahead of the task merge moves no
+    // bit of the dump.
+    if (cache && options.obs.statsRequested()) {
+        const UnitCacheCounters c = cache->counters();
+        merged_stats.scalar("campaign.unitCache.hits",
+                            "persistent unit-cache lookup hits") +=
+            static_cast<double>(c.hits);
+        merged_stats.scalar("campaign.unitCache.misses",
+                            "persistent unit-cache lookup misses") +=
+            static_cast<double>(c.misses);
+        merged_stats.scalar("campaign.unitCache.stores",
+                            "persistent unit-cache entries written") +=
+            static_cast<double>(c.stores);
+        merged_stats.scalar("campaign.unitCache.evictions",
+                            "persistent unit-cache LRU evictions") +=
+            static_cast<double>(c.evictions);
     }
+    std::vector<std::string> lanes;
+    lanes.reserve(n);
+    for (const ScenarioUnit &unit : outcome.units)
+        lanes.push_back(unitKey(unit));
+    obs::writeRun(options.obs, recs, lanes, obs::TelemetryLayout::Tasks,
+                  merged_stats, manifest);
 
     // Final scrape payload: campaign progress plus the merged stats
     // registry (when collected), pushed to the endpoint and snapshotted
@@ -718,7 +691,7 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
     if (health && want_metrics) {
         obs::OpenMetricsWriter w;
         RunHealthReporter::appendMetrics(w, health->snapshot());
-        if (want_stats)
+        if (options.obs.statsRequested())
             obs::appendRegistry(w, merged_stats);
         endpoint.update(w.finish());
         if (!options.obs.metricsOut.empty())
@@ -726,60 +699,16 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
     }
 
     if (options.obs.anyRequested()) {
-        if (want_trace) {
-            std::vector<const obs::TraceBuffer *> raw;
-            std::vector<std::string> names;
-            raw.reserve(tbufs.size());
-            for (std::size_t t = 0; t < tbufs.size(); ++t) {
-                if (tbufs[t]) {
-                    raw.push_back(tbufs[t].get());
-                    names.push_back(unitKey(outcome.units[inproc[t]]));
-                }
-            }
-            options.obs.writeTrace(obs::mergeBuffers(raw), names);
-        }
-        obs::Profiler merged_prof;
-        obs::Auditor merged_audit(audit_cfg);
-        if (want_profile) {
-            for (const auto &prof : profs)
-                if (prof)
-                    merged_prof.merge(*prof);
-            options.obs.writeProfile(merged_prof);
-        }
-        if (want_audit) {
-            for (const auto &audit : audits)
-                if (audit)
-                    merged_audit.merge(*audit);
-            options.obs.writeAudit(merged_audit);
-        }
-        if (want_telem) {
-            // Index the concat vector by grid unit, not by task, so
-            // the CSV "unit" column names the unit even on resumed
-            // campaigns (restored units contribute no rows).
-            std::vector<obs::TelemetryRecorder *> by_unit(n, nullptr);
-            for (std::size_t t = 0; t < inproc.size(); ++t)
-                by_unit[inproc[t]] = telems[t].get();
-            options.obs.writeTelemetryConcat(by_unit);
-            std::uint64_t rows = 0;
-            for (const auto &telem : telems)
-                if (telem)
-                    rows += telem->rowCount();
-            manifest.set("telemetry_out", options.obs.telemetryOut);
-            manifest.set("telemetry_rows", rows);
-        }
-        // In worker mode the per-task auditors above only saw the
-        // in-process leftovers; the true totals live in the unit
-        // metrics (violations) and the stats wire (steps audited).
-        options.obs.recordSidecars(
-            manifest, nullptr, want_profile ? &merged_prof : nullptr,
-            want_audit && !use_workers ? &merged_audit : nullptr);
-        if (want_audit && use_workers) {
+        // In worker mode the recorders above only saw the in-process
+        // leftovers; the true audit totals live in the unit metrics
+        // (violations) and the stats wire (steps audited).
+        if (options.obs.auditRequested() && use_workers) {
             double violations = 0.0;
             for (const std::size_t i : pending)
                 violations += outcome.results[i].auditViolations;
             manifest.set("audit_violations",
                          static_cast<std::uint64_t>(violations));
-            if (want_stats)
+            if (options.obs.statsRequested())
                 manifest.set(
                     "audit_steps",
                     static_cast<std::uint64_t>(

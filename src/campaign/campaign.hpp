@@ -33,6 +33,10 @@ struct DayStage;
 struct SimWorkspace;
 } // namespace solarcore::core
 
+namespace solarcore::obs {
+struct Recorders;
+} // namespace solarcore::obs
+
 namespace solarcore::campaign {
 
 /** Execution knobs of one campaign invocation. */
@@ -82,9 +86,10 @@ struct CampaignOutcome
 
 /**
  * Simulate one unit of @p grid. Exposed for tests; the runner calls
- * this from worker threads. All sinks may be null. A non-null
- * @p audit contributes the unit's violation count to the returned
- * metrics and folds audit.* counters into @p stats. A non-null
+ * this from worker threads. Non-null @p recorders record the unit
+ * (the caller attaches their profiler); an auditor among them
+ * contributes the unit's violation count to the returned metrics and
+ * folds its audit.* counters into their stats. A non-null
  * @p workspace supplies reusable per-step buffers (one per worker
  * thread) so steady-state unit simulation is allocation-free. A
  * non-null @p stage is the unit's day, staged by SharedDays; without
@@ -93,10 +98,7 @@ struct CampaignOutcome
  * month, seed) day (DayStage::day).
  */
 UnitMetrics runUnit(const ScenarioUnit &unit, const ScenarioGrid &grid,
-                    obs::StatsRegistry *stats = nullptr,
-                    obs::TraceBuffer *trace = nullptr,
-                    obs::TelemetryRecorder *telemetry = nullptr,
-                    obs::Auditor *audit = nullptr,
+                    obs::Recorders *recorders = nullptr,
                     core::SimWorkspace *workspace = nullptr,
                     const core::DayStage *stage = nullptr);
 

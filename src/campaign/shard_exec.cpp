@@ -7,7 +7,7 @@
 #include <type_traits>
 
 #include "core/simulation.hpp"
-#include "obs/auditor.hpp"
+#include "obs/recorders.hpp"
 #include "obs/stats_wire.hpp"
 #include "util/logging.hpp"
 #include "util/pipe_channel.hpp"
@@ -137,8 +137,6 @@ runWorkerShard(int fd, int worker_id, const ScenarioGrid &grid,
 
     int exit_code = 0;
     try {
-        const bool want_stats = options.obs.statsRequested();
-        const bool want_audit = options.obs.auditRequested();
         // Span stitching: the parent only sets spanParentId when it is
         // collecting request spans; each completed unit streams one
         // 'T' frame as it finishes, so a crashed worker still leaves
@@ -152,13 +150,10 @@ runWorkerShard(int fd, int worker_id, const ScenarioGrid &grid,
                          (static_cast<std::uint64_t>(worker_id + 1)
                           << 32))
             : 0;
-        obs::AuditorConfig audit_cfg;
-        if (options.obs.audit != obs::AuditMode::Off)
-            audit_cfg.mode = options.obs.audit;
-
+        // A forked run records only stats and audit counts (heavier
+        // recorders keep a campaign in-process), one set per task.
         const std::size_t n = end - begin;
-        std::vector<std::unique_ptr<obs::StatsRegistry>> regs(n);
-        std::vector<std::unique_ptr<obs::Auditor>> audits(n);
+        std::vector<obs::Recorders> recs(n);
         std::mutex write_mutex;
         bool write_failed = false;
 
@@ -173,10 +168,7 @@ runWorkerShard(int fd, int worker_id, const ScenarioGrid &grid,
         pool.parallelFor(n, [&](std::size_t k) {
             const std::size_t t = days.order()[k];
             const std::size_t i = pending[begin + t];
-            if (want_stats)
-                regs[t] = std::make_unique<obs::StatsRegistry>();
-            if (want_audit)
-                audits[t] = std::make_unique<obs::Auditor>(audit_cfg);
+            recs[t] = obs::Recorders(options.obs);
             // One reusable workspace per pool thread: buffers keep
             // their capacity across the whole shard.
             static thread_local core::SimWorkspace workspace;
@@ -184,8 +176,8 @@ runWorkerShard(int fd, int worker_id, const ScenarioGrid &grid,
             UnitMetrics m;
             {
                 const SharedDays::Lease lease = days.acquire(t);
-                m = runUnit(units[i], grid, regs[t].get(), nullptr, nullptr,
-                            audits[t].get(), &workspace, lease.stage());
+                m = runUnit(units[i], grid, &recs[t], &workspace,
+                            lease.stage());
             }
             const std::string frame =
                 packUnitFrame(static_cast<std::uint32_t>(i), m);
@@ -231,12 +223,10 @@ runWorkerShard(int fd, int worker_id, const ScenarioGrid &grid,
                 write_failed = true;
         }
 
-        if (want_stats) {
+        if (options.obs.statsRequested()) {
             // Shard order, matching the in-process task-order merge.
             obs::StatsRegistry merged;
-            for (const auto &reg : regs)
-                if (reg)
-                    merged.merge(*reg);
+            obs::mergeStats(recs, merged);
             std::string blob;
             blob.push_back(kTagStats);
             blob += obs::serializeRegistry(merged);

@@ -8,11 +8,7 @@
 #include "core/fixed_power.hpp"
 #include "core/tpr.hpp"
 #include "cpu/thermal.hpp"
-#include "obs/auditor.hpp"
-#include "obs/profiler.hpp"
-#include "obs/stats_registry.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorders.hpp"
 #include "power/ats.hpp"
 #include "power/battery.hpp"
 #include "pv/mpp.hpp"
@@ -44,7 +40,7 @@ buildChip(workload::WorkloadId workload, const SimConfig &cfg)
 int
 stepDieTemps(cpu::MultiCoreChip &chip,
              std::vector<cpu::ThermalModel> &thermal, double ambient_c,
-             const SimConfig &cfg)
+             const SimConfig &cfg, obs::TraceBuffer *trace)
 {
     int throttles = 0;
     for (int i = 0; i < chip.numCores(); ++i) {
@@ -60,12 +56,12 @@ stepDieTemps(cpu::MultiCoreChip &chip,
             core.level() > chip.dvfs().minLevel()) {
             core.setLevel(core.level() - 1);
             ++throttles;
-            if (cfg.trace) {
+            if (trace) {
                 obs::TraceEvent e;
                 e.kind = obs::EventKind::ThermalThrottle;
                 e.core = static_cast<std::int16_t>(i);
                 e.v0 = t;
-                cfg.trace->emit(e);
+                trace->emit(e);
             }
         }
     }
@@ -83,6 +79,13 @@ emitRetrack(obs::TraceBuffer *trace, obs::RetrackCause cause,
     e.v0 = budget_w;
     e.v1 = demand_w;
     trace->emit(e);
+}
+
+/** The day's stats registry, or null when none records it. */
+obs::StatsRegistry *
+dayStats(const SimConfig &cfg)
+{
+    return cfg.recorders ? cfg.recorders->stats.get() : nullptr;
 }
 
 /** Fold one simulated day's counters into the caller's registry. */
@@ -339,23 +342,25 @@ runDay(cpu::MultiCoreChip &chip, const pv::PvModule &module,
     // Stable discharge level while the buffer bridges the panel.
     const double bridge_budget_w = 2.0 * cfg.thresholdW;
 
-    obs::TraceBuffer *const tbuf = cfg.trace;
+    obs::Recorders *const rec = cfg.recorders;
+    obs::TraceBuffer *const tbuf = rec ? rec->trace.get() : nullptr;
     ats.setTrace(tbuf);
     if (tracking)
         controller->setTrace(tbuf);
     if (buffer)
         buffer->setTrace(tbuf);
-    DayTelemetry telem(cfg.telemetry, chip);
-    obs::Auditor *const audit = cfg.audit;
+    DayTelemetry telem(rec ? rec->telemetry.get() : nullptr, chip);
+    obs::Auditor *const audit = rec ? rec->audit.get() : nullptr;
     if (audit)
         audit->setTrace(tbuf);
     const char *const budget_check = derated
         ? "battery baseline draw vs stable budget"
         : tracking ? "solar draw vs MPP budget"
                    : "solar draw vs fixed budget";
-    obs::HistogramStat *const err_hist = cfg.stats && panel
-        ? &cfg.stats->histogram("sim.periodErrorPct", 0.0, 50.0, 25,
-                                "per-period relative tracking error [%]")
+    obs::StatsRegistry *const stats = dayStats(cfg);
+    obs::HistogramStat *const err_hist = stats && panel
+        ? &stats->histogram("sim.periodErrorPct", 0.0, 50.0, 25,
+                            "per-period relative tracking error [%]")
         : nullptr;
 
     // Tracking-error accounting (Table 7): per tracking period t the
@@ -422,7 +427,7 @@ runDay(cpu::MultiCoreChip &chip, const pv::PvModule &module,
         power::NetworkState step_net; //!< solved state, when tracking
         const pv::MppResult &mpp = stage.mpps[i];
         result.thermalThrottles +=
-            stepDieTemps(chip, ws.thermal, stage.ambientC[i], cfg);
+            stepDieTemps(chip, ws.thermal, stage.ambientC[i], cfg, tbuf);
         if (panel) {
             array.setEnvironment(stage.envs[i]);
             ats.update(mpp.power, cfg.dtSeconds);
@@ -711,8 +716,8 @@ simulateDay(const pv::PvModule &module, const DayStage &stage,
     SC_PROFILE_SCOPE("day");
     auto chip = buildChip(workload, cfg);
     DayRun run = runDay(chip, module, stage, cfg, DirectSupply{});
-    if (cfg.stats)
-        foldDayStats(*cfg.stats, run.day, chip);
+    if (obs::StatsRegistry *stats = dayStats(cfg))
+        foldDayStats(*stats, run.day, chip);
     return std::move(run.day);
 }
 
@@ -738,10 +743,10 @@ simulateHybridDay(const pv::PvModule &module, const solar::SolarTrace &trace,
     result.greenFraction = total > 0.0 ? run.greenEnergyWh / total : 0.0;
     if (run.buffer)
         result.bufferedWh = run.buffer->deliveredWh();
-    if (cfg.stats) {
-        foldDayStats(*cfg.stats, result.day, chip);
+    if (obs::StatsRegistry *stats = dayStats(cfg)) {
+        foldDayStats(*stats, result.day, chip);
         if (run.buffer) {
-            auto &reg = *cfg.stats;
+            auto &reg = *stats;
             reg.scalar("battery.absorbedWh",
                        "energy the buffer absorbed while charging "
                        "[Wh]") += run.buffer->absorbedWh();
@@ -787,8 +792,8 @@ simulateBatteryDay(const pv::PvModule &module, const DayStage &stage,
     result.mppEnergyWh = run.day.mppEnergyWh;
     result.consumedWh = run.day.solarEnergyWh;
     result.utilization = run.day.utilization;
-    if (cfg.stats) {
-        auto &reg = *cfg.stats;
+    if (obs::StatsRegistry *stats = dayStats(cfg)) {
+        auto &reg = *stats;
         ++reg.scalar("sim.batteryDays",
                      "battery-baseline days folded into this registry");
         reg.scalar("sim.mppEnergyWh", "theoretical MPP energy [Wh]") +=

@@ -39,9 +39,7 @@
 #include "workload/multiprogram.hpp"
 
 namespace solarcore::obs {
-class Auditor;
-class TelemetryRecorder;
-class TraceBuffer;
+struct Recorders;
 } // namespace solarcore::obs
 
 namespace solarcore::core {
@@ -173,41 +171,26 @@ struct SimConfig
                                        //!< free. A local workspace is
                                        //!< used when null. Not
                                        //!< thread-safe: one per worker.
-    obs::StatsRegistry *stats = nullptr; //!< borrowed; when set, the
-                                       //!< day's counters (energies,
-                                       //!< per-core DVFS/gate
-                                       //!< transitions, per-period
-                                       //!< tracking error histogram)
-                                       //!< accumulate into it. Not
-                                       //!< thread-safe: one per
-                                       //!< worker, merge()d.
-    obs::TraceBuffer *trace = nullptr; //!< borrowed event sink; when
-                                       //!< set, re-tracks (with cause),
-                                       //!< DVFS/PCPG steps, ATS
-                                       //!< switchovers, battery modes
-                                       //!< and period boundaries are
-                                       //!< recorded. Null = tracing
-                                       //!< off at near-zero cost.
-    obs::TelemetryRecorder *telemetry = nullptr; //!< borrowed waveform
-                                       //!< sink; when set, every step
-                                       //!< samples the shared channel
-                                       //!< superset (panel P/V/I, MPP
-                                       //!< reference, converter ratio,
-                                       //!< rail voltage, chip power vs
-                                       //!< budget, battery SoC, per-
-                                       //!< core f/V/P/IPC/TPR); all
-                                       //!< three day drivers register
-                                       //!< the same schema so per-unit
-                                       //!< recorders concatenate.
-    obs::Auditor *audit = nullptr;     //!< borrowed invariant auditor;
-                                       //!< when set, every step checks
-                                       //!< budget overshoot, rail
-                                       //!< voltage, panel operating
-                                       //!< point, DVFS legality and
-                                       //!< (hybrid) battery SoC plus
-                                       //!< day-end energy closure. The
-                                       //!< caller folds its counters
-                                       //!< into stats.
+    obs::Recorders *recorders = nullptr; //!< borrowed; null records
+                                       //!< nothing. Each recorder it
+                                       //!< holds takes the day: stats
+                                       //!< (energies, per-core DVFS/
+                                       //!< gate transitions, per-period
+                                       //!< tracking error histogram),
+                                       //!< events (re-tracks with
+                                       //!< cause, DVFS/PCPG steps, ATS
+                                       //!< switchovers, battery modes,
+                                       //!< period boundaries), the
+                                       //!< per-step waveform channels
+                                       //!< (one schema for all three
+                                       //!< day drivers, so per-unit
+                                       //!< recorders concatenate) and
+                                       //!< the invariant audit of every
+                                       //!< step and the day-end energy
+                                       //!< closure; the owner folds the
+                                       //!< audit into the stats and
+                                       //!< attaches the profiler. Not
+                                       //!< thread-safe: one per task.
 };
 
 /** One per-minute sample for the tracking-accuracy figures. */

@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared command-line wiring for the observability layer: every tool
- * that simulates days (solarcore_cli, the bench binaries) accepts
+ * Shared command-line wiring for the observability layer:
+ * solarcore_cli and solarcore_campaign accept
  *
  *   --stats-out=FILE    stats registry dump (.json or .csv by extension)
  *   --trace-out=FILE    event trace (.jsonl, or Chrome trace JSON
@@ -26,7 +26,9 @@
  *                        postmortem.json
  *
  * consume() recognizes one argv token at a time so callers can weave
- * it into their existing parsers.
+ * it into their existing parsers. fig13 and fig14 take every flag but
+ * the last three, which they refuse: they serve no metrics and arm no
+ * flight recorder.
  */
 
 #ifndef SOLARCORE_OBS_OBS_OPTIONS_HPP
@@ -35,19 +37,18 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/auditor.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 
 namespace solarcore::obs {
 
-class Profiler;
 class RunManifest;
-class StatsRegistry;
 
-/** Parsed observability flags plus the output helpers. */
+/**
+ * Parsed observability flags. obs::Recorders builds the recorders they
+ * ask for, and obs::writeRun writes them.
+ */
 struct ObsOptions
 {
     std::string statsOut;
@@ -89,48 +90,12 @@ struct ObsOptions
             auditRequested() || !manifestOut.empty();
     }
 
-    /** Write @p reg to statsOut (CSV for .csv, JSON otherwise). */
-    void writeStats(const StatsRegistry &reg) const;
-
-    /**
-     * Write @p events to traceOut (JSONL for .jsonl, Chrome trace JSON
-     * otherwise). @p trackNames labels the Chrome lanes; @p telemetry
-     * (optional) adds per-channel Perfetto counter tracks.
-     */
-    void writeTrace(const std::vector<TraceEvent> &events,
-                    const std::vector<std::string> &trackNames = {},
-                    TelemetryRecorder *telemetry = nullptr) const;
-
-    /** Write @p recorder to telemetryOut as columnar CSV. */
-    void writeTelemetry(TelemetryRecorder &recorder) const;
-
-    /** As writeTelemetry, but concatenating per-unit recorders. */
-    void
-    writeTelemetryConcat(const std::vector<TelemetryRecorder *> &recs) const;
-
-    /** Write @p profiler to profileOut as JSON plus a sibling
-     *  `<profileOut>.folded` collapsed-stack dump. */
-    void writeProfile(const Profiler &profiler) const;
-
-    /** Write @p auditor's JSON report to auditOut. */
-    void writeAudit(const Auditor &auditor) const;
-
     /**
      * Write @p manifest to manifestOut, or to a sidecar named after
      * the first requested output ("<out>.manifest.json"); no-op when
      * nothing was requested.
      */
     void writeManifest(RunManifest &manifest) const;
-
-    /**
-     * Record the observability sidecars (paths plus row/violation
-     * counts) and the process peak RSS into @p manifest. Pass nullptr
-     * for sinks that were not constructed.
-     */
-    void recordSidecars(RunManifest &manifest,
-                        TelemetryRecorder *telemetry = nullptr,
-                        const Profiler *profiler = nullptr,
-                        const Auditor *auditor = nullptr) const;
 };
 
 } // namespace solarcore::obs

@@ -707,9 +707,8 @@ Server::executeQueryWith(const Request &req, std::string &body,
         unit_span.attr("unit", static_cast<std::int64_t>(i));
         {
             const campaign::SharedDays::Lease lease = days.acquire(t);
-            metrics[i] = campaign::runUnit(units[i], grid, nullptr, nullptr,
-                                           nullptr, nullptr, &workspace,
-                                           lease.stage());
+            metrics[i] = campaign::runUnit(units[i], grid, nullptr,
+                                           &workspace, lease.stage());
         }
         unitsSimulated_.fetch_add(1);
         ++simulated;

@@ -161,8 +161,7 @@ TEST(ShardExec, ReusableWorkspaceChangesNoNumbers)
         const UnitMetrics fresh = runUnit(unit, grid);
         // Same workspace reused across every unit: capacity persists,
         // results must not.
-        const UnitMetrics reused = runUnit(unit, grid, nullptr, nullptr,
-                                           nullptr, nullptr, &workspace);
+        const UnitMetrics reused = runUnit(unit, grid, nullptr, &workspace);
         for (const auto &field : metricFields())
             EXPECT_EQ(fresh.*(field.member), reused.*(field.member))
                 << unitKey(unit) << "." << field.name;

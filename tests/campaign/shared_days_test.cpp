@@ -30,7 +30,7 @@
 
 #include "campaign/campaign.hpp"
 #include "core/simulation.hpp"
-#include "obs/stats_registry.hpp"
+#include "obs/recorders.hpp"
 #include "pv/bp3180n.hpp"
 #include "pv/pv_kernel.hpp"
 #include "util/thread_pool.hpp"
@@ -106,11 +106,12 @@ runAlone(const ScenarioGrid &grid)
     const std::size_t half = alone.units.size() / 2;
     obs::StatsRegistry in_order, halves[2];
     for (const ScenarioUnit &unit : alone.units) {
-        obs::StatsRegistry reg;
-        alone.results.push_back(runUnit(unit, grid, &reg));
-        in_order.merge(reg);
+        obs::Recorders rec;
+        rec.stats = std::make_unique<obs::StatsRegistry>();
+        alone.results.push_back(runUnit(unit, grid, &rec));
+        in_order.merge(*rec.stats);
         halves[static_cast<std::size_t>(unit.index) < half ? 0 : 1].merge(
-            reg);
+            *rec.stats);
     }
     obs::StatsRegistry by_halves;
     by_halves.merge(halves[0]);
@@ -269,19 +270,17 @@ TEST(SharedDays, AnyClaimOrderMatchesUnitsRunAlone)
         CampaignOutcome outcome;
         outcome.units = units;
         outcome.results.resize(units.size());
-        std::vector<std::unique_ptr<obs::StatsRegistry>> regs(units.size());
+        std::vector<obs::Recorders> recs(units.size());
         pool.parallelFor(order.size(), [&](std::size_t k) {
             const std::size_t t = order[k];
-            regs[t] = std::make_unique<obs::StatsRegistry>();
+            recs[t].stats = std::make_unique<obs::StatsRegistry>();
             static thread_local core::SimWorkspace workspace;
             const SharedDays::Lease lease = days.acquire(t);
-            outcome.results[t] =
-                runUnit(units[t], grid, regs[t].get(), nullptr, nullptr,
-                        nullptr, &workspace, lease.stage());
+            outcome.results[t] = runUnit(units[t], grid, &recs[t],
+                                         &workspace, lease.stage());
         });
         obs::StatsRegistry merged;
-        for (const auto &reg : regs)
-            merged.merge(*reg);
+        obs::mergeStats(recs, merged);
         EXPECT_EQ(summaryOf(grid, outcome), ref.summary) << "seed " << seed;
         EXPECT_EQ(statsOf(merged), ref.stats) << "seed " << seed;
     }
@@ -315,8 +314,7 @@ TEST(SharedDays, FourClaimersAllocateAtMostEightStages)
             std::lock_guard<std::mutex> lock(mutex);
             stages.insert(lease.stage());
         }
-        runUnit(units[t], grid, nullptr, nullptr, nullptr, nullptr,
-                &workspace, lease.stage());
+        runUnit(units[t], grid, nullptr, &workspace, lease.stage());
     });
     EXPECT_EQ(stages.count(nullptr), 0u);
     EXPECT_GE(stages.size(), 1u);
@@ -352,26 +350,24 @@ TEST(SharedDaysDeathTest, RunUnitRefusesAnotherDaysStage)
     const SharedDays::Lease lease = days.acquire(0);
     ASSERT_NE(lease.stage(), nullptr);
 
-    EXPECT_DEATH(runUnit(units[other_seed], grid, nullptr, nullptr, nullptr,
-                         nullptr, nullptr, lease.stage()),
-                 "stage of another day");
-    EXPECT_DEATH(runUnit(units[other_month], grid, nullptr, nullptr,
-                         nullptr, nullptr, nullptr, lease.stage()),
-                 "stage of another day");
+    EXPECT_DEATH(
+        runUnit(units[other_seed], grid, nullptr, nullptr, lease.stage()),
+        "stage of another day");
+    EXPECT_DEATH(
+        runUnit(units[other_month], grid, nullptr, nullptr, lease.stage()),
+        "stage of another day");
     // A stage no stager named is no unit's day.
     core::DayStage unnamed;
     core::stageDay(unnamed, pv::buildBp3180n(),
                    solar::generateDayTrace(units[rr].site, units[rr].month,
                                            units[rr].seed),
                    grid.dtSeconds, 1, 1, true);
-    EXPECT_DEATH(runUnit(units[rr], grid, nullptr, nullptr, nullptr,
-                         nullptr, nullptr, &unnamed),
+    EXPECT_DEATH(runUnit(units[rr], grid, nullptr, nullptr, &unnamed),
                  "stage of another day");
     // Its own day's stage runs.
-    EXPECT_GT(runUnit(units[rr], grid, nullptr, nullptr, nullptr, nullptr,
-                      nullptr, lease.stage())
-                  .mppEnergyWh,
-              0.0);
+    EXPECT_GT(
+        runUnit(units[rr], grid, nullptr, nullptr, lease.stage()).mppEnergyWh,
+        0.0);
 }
 
 TEST(SharedDays, ConcurrentAcquirersShareOneStage)

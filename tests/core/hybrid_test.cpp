@@ -4,6 +4,7 @@
  */
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -11,8 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/simulation.hpp"
-#include "obs/auditor.hpp"
-#include "obs/stats_registry.hpp"
+#include "obs/recorders.hpp"
 
 namespace solarcore::core {
 namespace {
@@ -188,25 +188,26 @@ TEST_P(HybridLedger, SolarEnergyIsPanelToChipPlusAbsorbed)
     const auto module = pv::buildBp3180n();
     const auto trace =
         solar::generateDayTrace(site_month.first, site_month.second, 7);
-    obs::StatsRegistry stats;
-    obs::Auditor audit;
+    obs::Recorders rec;
+    rec.stats = std::make_unique<obs::StatsRegistry>();
+    rec.audit = std::make_unique<obs::Auditor>();
     auto cfg = fastConfig();
     cfg.seed = 7;
-    cfg.stats = &stats;
-    cfg.audit = &audit;
+    cfg.recorders = &rec;
     const auto r = simulateHybridDay(module, trace,
                                      workload::WorkloadId::HM2,
                                      capacity_wh, cfg);
-    const double absorbed = stats.value("battery.absorbedWh");
+    const double absorbed = rec.stats->value("battery.absorbedWh");
     EXPECT_GT(absorbed, 0.0);
     EXPECT_GT(r.bufferedWh, 0.0);
-    EXPECT_DOUBLE_EQ(stats.value("battery.deliveredWh"), r.bufferedWh);
+    EXPECT_DOUBLE_EQ(rec.stats->value("battery.deliveredWh"),
+                     r.bufferedWh);
     const double expected =
         (r.greenEnergyWh - r.bufferedWh) + absorbed / 0.95;
     EXPECT_NEAR(r.day.solarEnergyWh, expected,
                 1e-9 * std::abs(expected));
     EXPECT_LE(r.day.utilization, 1.0);
-    EXPECT_EQ(audit.violationCount(), 0u);
+    EXPECT_EQ(rec.audit->violationCount(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

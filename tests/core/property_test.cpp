@@ -5,10 +5,12 @@
  * configuration, plus controller behaviour under supply ramps.
  */
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "core/solarcore.hpp"
-#include "obs/auditor.hpp"
+#include "obs/recorders.hpp"
 #include "util/stats.hpp"
 
 namespace solarcore::core {
@@ -211,14 +213,15 @@ TEST(PcpgProperty, FixedPowerDayHonoursGatingBan)
     with.dtSeconds = 60.0;
     SimConfig without = with;
     without.pcpg = false;
-    obs::Auditor audit;
-    without.audit = &audit;
+    obs::Recorders rec;
+    rec.audit = std::make_unique<obs::Auditor>();
+    without.recorders = &rec;
     const auto rw = simulateDay(module, trace, workload::WorkloadId::HM2,
                                 with);
     const auto ro = simulateDay(module, trace, workload::WorkloadId::HM2,
                                 without);
-    EXPECT_GT(audit.stepsAudited(), 0u);
-    EXPECT_EQ(audit.count(obs::AuditCheck::DvfsLegality), 0u);
+    EXPECT_GT(rec.audit->stepsAudited(), 0u);
+    EXPECT_EQ(rec.audit->count(obs::AuditCheck::DvfsLegality), 0u);
     EXPECT_LT(ro.solarInstructions, rw.solarInstructions);
 }
 
@@ -232,14 +235,15 @@ TEST(PcpgProperty, BatteryDayHonoursGatingBan)
     with.dtSeconds = 60.0;
     SimConfig without = with;
     without.pcpg = false;
-    obs::Auditor audit;
-    without.audit = &audit;
+    obs::Recorders rec;
+    rec.audit = std::make_unique<obs::Auditor>();
+    without.recorders = &rec;
     const auto rw = simulateBatteryDay(module, trace,
                                        workload::WorkloadId::HM2, 0.1, with);
     const auto ro = simulateBatteryDay(
         module, trace, workload::WorkloadId::HM2, 0.1, without);
-    EXPECT_GT(audit.stepsAudited(), 0u);
-    EXPECT_EQ(audit.count(obs::AuditCheck::DvfsLegality), 0u);
+    EXPECT_GT(rec.audit->stepsAudited(), 0u);
+    EXPECT_EQ(rec.audit->count(obs::AuditCheck::DvfsLegality), 0u);
     EXPECT_GT(rw.consumedWh, 0.0);
     EXPECT_EQ(ro.consumedWh, 0.0); // nothing fits: the utility runs it
 }

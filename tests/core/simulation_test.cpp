@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -15,9 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "core/simulation.hpp"
-#include "obs/auditor.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorders.hpp"
 #include "power/battery.hpp"
 #include "pv/pv_kernel.hpp"
 
@@ -391,18 +390,20 @@ sameBits(double a, double b)
 /** Every recording sink a day driver feeds, rendered to bytes. */
 struct SinkSet
 {
-    obs::StatsRegistry stats;
-    obs::TraceBuffer trace;
-    obs::TelemetryRecorder telemetry{1};
-    obs::Auditor audit;
+    obs::Recorders rec;
+
+    SinkSet()
+    {
+        rec.stats = std::make_unique<obs::StatsRegistry>();
+        rec.trace = std::make_unique<obs::TraceBuffer>();
+        rec.telemetry = std::make_unique<obs::TelemetryRecorder>(1);
+        rec.audit = std::make_unique<obs::Auditor>();
+    }
 
     SimConfig
     attach(SimConfig cfg)
     {
-        cfg.stats = &stats;
-        cfg.trace = &trace;
-        cfg.telemetry = &telemetry;
-        cfg.audit = &audit;
+        cfg.recorders = &rec;
         cfg.recordTimeline = true;
         return cfg;
     }
@@ -411,13 +412,13 @@ struct SinkSet
     render()
     {
         std::ostringstream os;
-        stats.dumpJson(os);
-        os << "\n--\n" << trace.dropped() << '\n';
-        obs::exportJsonl(trace.events(), os);
+        rec.stats->dumpJson(os);
+        os << "\n--\n" << rec.trace->dropped() << '\n';
+        obs::exportJsonl(rec.trace->events(), os);
         os << "\n--\n";
-        telemetry.writeCsv(os);
+        rec.telemetry->writeCsv(os);
         os << "\n--\n";
-        audit.writeJson(os);
+        rec.audit->writeJson(os);
         return os.str();
     }
 };

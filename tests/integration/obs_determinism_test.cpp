@@ -1,19 +1,19 @@
 /**
  * @file
- * Observability must not perturb the simulation: a traced day produces
- * byte-identical metrics to an untraced one, and merged per-worker
- * buffers/registries render identically regardless of how the work was
- * split across workers.
+ * Observability must not perturb the simulation: a day with every
+ * recorder armed produces byte-identical metrics to a bare one, and
+ * merged per-worker buffers/registries render identically regardless
+ * of how the work was split across workers.
  */
 
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/solarcore.hpp"
-#include "obs/stats_registry.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorders.hpp"
 
 namespace solarcore {
 namespace {
@@ -52,20 +52,35 @@ TEST(ObsDeterminism, TracedDayMatchesUntracedByteForByte)
                                          workload::WorkloadId::HM2,
                                          plain_cfg);
 
-    obs::StatsRegistry reg;
-    obs::TraceBuffer buf;
+    // All five recorders, built as a tool builds them from its flags;
+    // the paths only select them, nothing is written.
+    obs::ObsOptions opts;
+    opts.statsOut = "stats.json";
+    opts.traceOut = "trace.jsonl";
+    opts.telemetryOut = "telemetry.csv";
+    opts.profileOut = "profile.json";
+    opts.audit = obs::AuditMode::Count;
+    obs::Recorders rec(opts);
+    ASSERT_TRUE(rec.stats && rec.trace && rec.telemetry && rec.profiler &&
+                rec.audit);
     auto obs_cfg = fastConfig();
-    obs_cfg.stats = &reg;
-    obs_cfg.trace = &buf;
-    const auto observed = core::simulateDay(module, trace,
-                                            workload::WorkloadId::HM2,
-                                            obs_cfg);
+    obs_cfg.recorders = &rec;
+    core::DayResult observed;
+    {
+        obs::Profiler::Attach attach(rec.profiler.get());
+        observed = core::simulateDay(module, trace,
+                                     workload::WorkloadId::HM2, obs_cfg);
+    }
 
     EXPECT_EQ(metricsKey(plain), metricsKey(observed));
-    // And the instrumentation actually recorded the day.
-    EXPECT_GT(buf.size(), 0u);
-    EXPECT_GT(reg.value("chip.dvfsTransitions"), 0.0);
-    EXPECT_GT(reg.value("sim.mppEnergyWh"), 0.0);
+    // And every recorder actually recorded the day.
+    EXPECT_GT(rec.trace->size(), 0u);
+    EXPECT_GT(rec.stats->value("chip.dvfsTransitions"), 0.0);
+    EXPECT_GT(rec.stats->value("sim.mppEnergyWh"), 0.0);
+    EXPECT_GT(rec.telemetry->stepCount(), 0u);
+    EXPECT_GT(rec.audit->stepsAudited(), 0u);
+    EXPECT_EQ(rec.audit->violationCount(), 0u);
+    EXPECT_EQ(rec.profiler->root().children.count("day"), 1u);
 }
 
 TEST(ObsDeterminism, MergedOutputIndependentOfWorkerSplit)
@@ -87,25 +102,28 @@ TEST(ObsDeterminism, MergedOutputIndependentOfWorkerSplit)
     // exactly the property that makes the real thread pool's output
     // byte-identical at any worker count.
     auto renderSplit = [&](bool per_task_buffers) {
-        obs::StatsRegistry regs[3];
-        obs::TraceBuffer bufs[3];
+        obs::Recorders recs[3];
+        for (obs::Recorders &rec : recs) {
+            rec.stats = std::make_unique<obs::StatsRegistry>();
+            rec.trace = std::make_unique<obs::TraceBuffer>();
+        }
         for (int t = 0; t < 3; ++t) {
             const int slot = per_task_buffers ? t : 0;
             auto cfg = fastConfig();
-            cfg.stats = &regs[slot];
-            cfg.trace = &bufs[slot];
+            cfg.recorders = &recs[slot];
             const auto day_trace = solar::generateDayTrace(
                 solar::SiteId::AZ, tasks[t].month, 1);
             core::simulateDay(module, day_trace, tasks[t].wl, cfg);
         }
         obs::StatsRegistry merged;
-        for (const auto &r : regs)
-            merged.merge(r);
+        obs::mergeStats(recs, merged);
         std::ostringstream stats_os;
         merged.dumpJson(stats_os);
 
         std::ostringstream trace_os;
-        obs::exportJsonl(obs::mergeBuffers({&bufs[0], &bufs[1], &bufs[2]}),
+        obs::exportJsonl(obs::mergeBuffers({recs[0].trace.get(),
+                                            recs[1].trace.get(),
+                                            recs[2].trace.get()}),
                          trace_os);
         return std::pair(stats_os.str(), trace_os.str());
     };

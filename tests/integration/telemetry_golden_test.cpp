@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -25,10 +26,8 @@
 
 #include "campaign/golden.hpp"
 #include "core/solarcore.hpp"
-#include "obs/auditor.hpp"
 #include "obs/json.hpp"
-#include "obs/profiler.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/recorders.hpp"
 
 #ifndef SOLARCORE_GOLDEN_DIR
 #error "SOLARCORE_GOLDEN_DIR must point at tests/golden"
@@ -88,14 +87,17 @@ TEST(TelemetryGolden, InstrumentedDayMatchesBaseline)
     const auto trace = solar::generateDayTrace(solar::SiteId::AZ,
                                                solar::Month::Apr, 1);
 
-    obs::TelemetryRecorder telem(4, obs::TelemetryMode::EveryN);
-    obs::Auditor audit; // counting mode
+    obs::Recorders rec;
+    rec.telemetry = std::make_unique<obs::TelemetryRecorder>(
+        4, obs::TelemetryMode::EveryN);
+    rec.audit = std::make_unique<obs::Auditor>(); // counting mode
+    obs::TelemetryRecorder &telem = *rec.telemetry;
+    obs::Auditor &audit = *rec.audit;
     obs::Profiler profiler;
 
     core::SimConfig cfg;
     cfg.dtSeconds = 60.0;
-    cfg.telemetry = &telem;
-    cfg.audit = &audit;
+    cfg.recorders = &rec;
     {
         obs::Profiler::Attach attach(&profiler);
         core::simulateDay(module, trace, workload::WorkloadId::HM2, cfg);

@@ -47,15 +47,10 @@
 #include "core/aggregate.hpp"
 #include "core/solarcore.hpp"
 #include "pv/pv_kernel.hpp"
-#include "obs/auditor.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics_export.hpp"
-#include "obs/obs_options.hpp"
-#include "obs/profiler.hpp"
-#include "obs/stats_registry.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorders.hpp"
 #include "util/parse_number.hpp"
 #include "util/table.hpp"
 
@@ -77,10 +72,7 @@ struct Options
     double thresholdW = 25.0;
     pv::PvKernel pvKernel = pv::detectPvKernel();
     obs::ObsOptions obs;
-    obs::StatsRegistry *stats = nullptr; //!< set by main when requested
-    obs::TraceBuffer *trace = nullptr;   //!< set by main when requested
-    obs::TelemetryRecorder *telemetry = nullptr; //!< likewise
-    obs::Auditor *audit = nullptr;               //!< likewise
+    obs::Recorders *recorders = nullptr; //!< set by main
 };
 
 [[noreturn]] void
@@ -231,10 +223,7 @@ toSimConfig(const Options &opt, bool timeline)
     cfg.dtSeconds = opt.dtSeconds;
     cfg.thresholdW = opt.thresholdW;
     cfg.recordTimeline = timeline;
-    cfg.stats = opt.stats;
-    cfg.trace = opt.trace;
-    cfg.telemetry = opt.telemetry;
-    cfg.audit = opt.audit;
+    cfg.recorders = opt.recorders;
     return cfg;
 }
 
@@ -325,31 +314,15 @@ main(int argc, char **argv)
     pv::setPvKernel(opt.pvKernel);
 
     obs::RunManifest manifest(argc, argv);
-    std::optional<obs::StatsRegistry> stats;
-    std::optional<obs::TraceBuffer> trace;
-    std::optional<obs::TelemetryRecorder> telemetry;
-    std::optional<obs::Profiler> profiler;
-    std::optional<obs::Auditor> audit;
+    obs::Recorders day(opt.obs);
     // --metrics-out alone is enough to collect stats: the exposition
     // is rendered from the registry even when no --stats-out is given.
-    if (opt.obs.statsRequested() || opt.obs.metricsRequested())
-        opt.stats = &stats.emplace();
-    if (opt.obs.traceRequested())
-        opt.trace = &trace.emplace(opt.obs.traceBufferCap);
-    if (opt.obs.telemetryRequested())
-        opt.telemetry = &telemetry.emplace(opt.obs.telemetryEvery,
-                                           opt.obs.telemetryMode);
-    if (opt.obs.profileRequested())
-        profiler.emplace();
-    if (opt.obs.auditRequested()) {
-        obs::AuditorConfig audit_cfg;
-        if (opt.obs.audit != obs::AuditMode::Off)
-            audit_cfg.mode = opt.obs.audit;
-        opt.audit = &audit.emplace(audit_cfg);
-    }
+    if (opt.obs.metricsRequested() && !day.stats)
+        day.stats = std::make_unique<obs::StatsRegistry>();
+    opt.recorders = &day;
     std::optional<obs::Profiler::Attach> attach;
-    if (profiler)
-        attach.emplace(&*profiler);
+    if (day.profiler)
+        attach.emplace(day.profiler.get());
 
     if (opt.obs.postmortemRequested()) {
         obs::FlightRecorderConfig fr_cfg;
@@ -358,7 +331,7 @@ main(int argc, char **argv)
         if (!opt.obs.manifestOut.empty())
             obs::FlightRecorder::setManifestPath(opt.obs.manifestOut);
         obs::FlightRecorder::beginUnit(opt.command.c_str(),
-                                       trace ? &*trace : nullptr);
+                                       day.trace.get());
     }
     obs::MetricsEndpoint metrics;
     if (opt.obs.metricsPort >= 0 &&
@@ -377,24 +350,12 @@ main(int argc, char **argv)
     else
         rc = runSweep(opt);
 
+    attach.reset(); // close the profiler before dumping it
+    day.foldAudit();
+    obs::StatsRegistry stats;
+    obs::writeRun(opt.obs, {&day, 1}, {"day"}, obs::TelemetryLayout::Day,
+                  stats, manifest);
     if (opt.obs.anyRequested()) {
-        attach.reset(); // close the profiler before dumping it
-        if (audit && stats)
-            audit->foldInto(*stats);
-        if (stats)
-            opt.obs.writeStats(*stats);
-        if (trace)
-            opt.obs.writeTrace(obs::mergeBuffers({&*trace}), {"day"},
-                               telemetry ? &*telemetry : nullptr);
-        if (telemetry)
-            opt.obs.writeTelemetry(*telemetry);
-        if (profiler)
-            opt.obs.writeProfile(*profiler);
-        if (audit)
-            opt.obs.writeAudit(*audit);
-        opt.obs.recordSidecars(manifest, telemetry ? &*telemetry : nullptr,
-                               profiler ? &*profiler : nullptr,
-                               audit ? &*audit : nullptr);
         manifest.set("command", opt.command);
         manifest.set("site", std::string(solar::siteName(opt.site)));
         manifest.set("month", std::string(solar::monthName(opt.month)));
@@ -410,17 +371,14 @@ main(int argc, char **argv)
         manifest.set("days",
                      static_cast<std::uint64_t>(opt.days));
         manifest.setSeed(opt.seed);
-        if (trace && trace->dropped() > 0)
-            manifest.set("trace_dropped_events", trace->dropped());
         opt.obs.writeManifest(manifest);
     }
     if (opt.obs.metricsRequested()) {
-        attach.reset(); // close the profiler before rendering it
         obs::OpenMetricsWriter w;
-        if (stats)
-            obs::appendRegistry(w, *stats);
-        if (profiler)
-            obs::appendProfiler(w, *profiler);
+        if (day.stats)
+            obs::appendRegistry(w, *day.stats);
+        if (day.profiler)
+            obs::appendProfiler(w, *day.profiler);
         metrics.update(w.finish());
         if (!opt.obs.metricsOut.empty())
             metrics.writeSnapshot(opt.obs.metricsOut);
