@@ -55,23 +55,40 @@ runDay(solar::SiteId site, solar::Month month, workload::WorkloadId wl,
                              wl, cfg);
 }
 
+namespace {
+
+[[noreturn]] void
+threadsUsage(const char *argv0, std::string_view complaint)
+{
+    std::cerr << argv0 << ": " << complaint << "\n"
+              << "usage: " << argv0
+              << " [--threads=N] (N: 0 = all hardware threads, at most "
+              << ThreadPool::maxThreads() << ")\n";
+    std::exit(2);
+}
+
+} // namespace
+
+int
+threadsFlag(const char *argv0, std::string_view value)
+{
+    const auto threads = util::parseNumber<int>(value);
+    if (threads && *threads <= ThreadPool::maxThreads())
+        return *threads; // 0: ThreadPool's auto-detect
+    threadsUsage(argv0, "bad value for --threads");
+}
+
 int
 threadsFromArgs(int argc, char **argv)
 {
+    int threads = 0;
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg(argv[i]);
-        if (arg.rfind("--threads=", 0) != 0)
-            continue;
-        const auto threads = util::parseNumber<int>(arg.substr(10));
-        if (threads && *threads <= ThreadPool::maxThreads())
-            return *threads; // 0: ThreadPool's auto-detect
-        std::cerr << argv[0] << ": bad value for --threads\n"
-                  << "usage: " << argv[0]
-                  << " [--threads=N] (N: 0 = all hardware threads, at most "
-                  << ThreadPool::maxThreads() << ")\n";
-        std::exit(2);
+        if (!arg.starts_with(kThreadsFlag))
+            threadsUsage(argv[0], "unknown option " + std::string(arg));
+        threads = threadsFlag(argv[0], arg.substr(kThreadsFlag.size()));
     }
-    return 0;
+    return threads;
 }
 
 core::BatteryDayResult

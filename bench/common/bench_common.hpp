@@ -12,6 +12,7 @@
 #define SOLARCORE_BENCH_COMMON_HPP
 
 #include <string>
+#include <string_view>
 
 #include "core/solarcore.hpp"
 
@@ -47,12 +48,21 @@ core::DayResult runDay(solar::SiteId site, solar::Month month,
                        double dt_seconds = kBenchDtSeconds,
                        obs::Recorders *recorders = nullptr);
 
+/** The thread-count flag of the sweep binaries; its value follows. */
+inline constexpr std::string_view kThreadsFlag = "--threads=";
+
 /**
- * Parse a `--threads=N` argument (0 or omitted: all hardware threads).
- * Shared by the sweep binaries so every figure can be reproduced
- * single-threaded (byte-identical output) or fanned across cores. A
+ * Parse the N of a `--threads=N` token (0: all hardware threads). A
  * value that is not a whole number, or is above ThreadPool::maxThreads(),
- * prints the usage and exits 2.
+ * prints the usage of @p argv0 and exits 2.
+ */
+int threadsFlag(const char *argv0, std::string_view value);
+
+/**
+ * The thread count of a sweep binary whose only flag is `--threads=N`
+ * (0 or omitted: all hardware threads), so every figure can be
+ * reproduced single-threaded (byte-identical output) or fanned across
+ * cores. Any other token, or a bad N, prints the usage and exits 2.
  */
 int threadsFromArgs(int argc, char **argv);
 

@@ -15,11 +15,9 @@ namespace solarcore::bench {
 namespace {
 
 [[noreturn]] void
-usage(const char *argv0)
+usage(const char *argv0, std::string_view complaint)
 {
-    std::cerr << argv0
-              << ": a figure serves no metrics and arms no flight "
-                 "recorder\n"
+    std::cerr << argv0 << ": " << complaint << "\n"
               << "usage: " << argv0
               << " [--csv] [--threads=N] [--stats-out=FILE]\n"
                  "    [--trace-out=FILE] [--trace-buffer=N] "
@@ -124,15 +122,21 @@ trackingFigureMain(int argc, char **argv, solar::SiteId site,
                    solar::Month month, const char *figure_name)
 {
     bool csv = false;
+    int threads = 0;
     obs::ObsOptions opts;
     for (int i = 1; i < argc; ++i) {
-        csv = csv || std::string_view(argv[i]) == "--csv";
-        opts.consume(argv[i]);
+        const std::string_view arg(argv[i]);
+        if (arg == "--csv")
+            csv = true;
+        else if (arg.starts_with(kThreadsFlag))
+            threads = threadsFlag(argv[0], arg.substr(kThreadsFlag.size()));
+        else if (!opts.consume(arg))
+            usage(argv[0], "unknown option " + std::string(arg));
     }
     if (opts.metricsRequested() || opts.postmortemRequested())
-        usage(argv[0]);
-    printTrackingFigure(site, month, figure_name, csv,
-                        threadsFromArgs(argc, argv), opts);
+        usage(argv[0], "a figure serves no metrics and arms no flight "
+                       "recorder");
+    printTrackingFigure(site, month, figure_name, csv, threads, opts);
     return 0;
 }
 

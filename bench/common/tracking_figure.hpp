@@ -25,7 +25,7 @@ namespace solarcore::bench {
  * telemetry CSV's unit column is the task (0 H1, 1 HM2, 2 L1).
  * --metrics-out, --metrics-port and --postmortem-out end in the usage
  * text (exit 2): a figure serves no metrics and arms no flight
- * recorder.
+ * recorder. So does any token it does not know.
  */
 int trackingFigureMain(int argc, char **argv, solar::SiteId site,
                        solar::Month month, const char *figure_name);

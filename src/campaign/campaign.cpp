@@ -10,7 +10,6 @@
 #include <optional>
 #include <ostream>
 
-#include "campaign/journal.hpp"
 #include "campaign/run_health.hpp"
 #include "campaign/shard_exec.hpp"
 #include "campaign/unit_cache.hpp"
@@ -308,9 +307,10 @@ CampaignOutcome
 runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
 {
     // Select the PV kernel for the whole campaign and bake the
-    // *resolved* name into the grid signature: "auto" resolves
-    // differently across machines, and a journal must never be resumed
-    // under a different kernel than the one that produced it.
+    // *resolved* name into the grid (its signature and every unit-cache
+    // key): "auto" resolves differently across machines, and a cached
+    // unit must never be re-used under a different kernel than the one
+    // that produced it.
     ScenarioGrid grid = grid_in;
     const auto kernel = pv::resolvePvKernel(grid.pvKernel);
     if (!kernel)
@@ -320,11 +320,11 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
     pv::setPvKernel(*kernel);
     grid.pvKernel = pv::pvKernelName(*kernel);
 
-    // Request spans: one trace covering grid expansion, journal
-    // resume, the cache scan, the worker drain and every simulated
-    // unit. Forked shard workers stitch in over 'T' pipe frames (one
-    // CLOCK_MONOTONIC timebase across fork). Span collection never
-    // touches unit results, merged stats, or the summary bytes.
+    // Request spans: one trace covering grid expansion, the cache
+    // scan, the worker drain and every simulated unit. Forked shard
+    // workers stitch in over 'T' pipe frames (one CLOCK_MONOTONIC
+    // timebase across fork). Span collection never touches unit
+    // results, merged stats, or the summary bytes.
     const bool want_spans =
         !options.spanOut.empty() || !options.spanPerfettoOut.empty();
     obs::SpanSink span_sink(1u << 16);
@@ -352,72 +352,44 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
 
     obs::RunManifest manifest("solarcore_campaign");
 
-    // Resume: restore completed units from the journal, then execute
-    // only the rest. The summary below is assembled from the full
-    // index-ordered result vector, so a resumed run and an
-    // uninterrupted one emit the same bytes.
-    std::vector<char> done(n, 0);
-    JournalRecovery recovery;
-    if (options.resume && !options.journalPath.empty()) {
-        obs::SpanScope resume_span(&rtrace, "resume", root_id);
-        recovery = loadJournal(options.journalPath, signature);
-        for (const auto &[index, metrics] : recovery.completed) {
-            if (index >= 0 && static_cast<std::size_t>(index) < n &&
-                !done[static_cast<std::size_t>(index)]) {
-                outcome.results[static_cast<std::size_t>(index)] = metrics;
-                done[static_cast<std::size_t>(index)] = 1;
-                ++outcome.unitsResumed;
-            }
-        }
-        resume_span.attr("restored",
-                         static_cast<std::int64_t>(outcome.unitsResumed));
-    }
-    // Persistent unit cache: completed units are served from disk
-    // before any scheduling. The audit mode salts every key because it
-    // changes the auditViolations metric.
+    // Persistent unit cache: completed units -- of an earlier run, of
+    // an interrupted one, or of an overlapping grid -- are served from
+    // disk before any scheduling, and only the rest execute. The
+    // summary below is assembled from the full index-ordered result
+    // vector, so a resumed run and an uninterrupted one emit the same
+    // bytes. The audit mode salts every key because it changes the
+    // auditViolations metric. The cap never drops below the grid's
+    // unit count: a run never evicts its own units, so a re-run of a
+    // grid larger than the cap resumes all of them.
     std::optional<UnitResultCache> cache;
-    std::vector<std::size_t> cached_indices;
     if (!options.unitCacheDir.empty()) {
         const char *salt = options.obs.audit == obs::AuditMode::Off
             ? "audit=off"
             : options.obs.audit == obs::AuditMode::Count ? "audit=count"
                                                          : "audit=strict";
-        cache.emplace(options.unitCacheDir, options.unitCacheCap, salt);
-        if (!cache->ok()) {
+        const std::size_t cap = options.unitCacheCap == 0
+            ? 0
+            : std::max(options.unitCacheCap, n);
+        cache.emplace(options.unitCacheDir, cap, salt);
+        if (!cache->ok())
             cache.reset();
-        } else {
-            obs::SpanScope scan_span(&rtrace, "cache.scan", root_id);
-            for (std::size_t i = 0; i < n; ++i) {
-                if (done[i])
-                    continue;
-                UnitMetrics m;
-                if (cache->lookup(grid, outcome.units[i], m)) {
-                    outcome.results[i] = m;
-                    done[i] = 1;
-                    cached_indices.push_back(i);
-                }
-            }
-            outcome.unitsCached = static_cast<int>(cached_indices.size());
-            scan_span.attr("hits", static_cast<std::int64_t>(
-                                       cached_indices.size()));
-        }
     }
-
+    std::size_t cached = 0;
     std::vector<std::size_t> pending;
     pending.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        if (!done[i])
-            pending.push_back(i);
-
-    std::optional<JournalWriter> journal;
-    if (!options.journalPath.empty())
-        journal.emplace(options.journalPath, signature,
-                        /*fresh=*/!recovery.headerValid);
-    // Cache hits are journaled like simulated units, so a later
-    // --resume reproduces them even without the cache directory.
-    if (journal)
-        for (const std::size_t i : cached_indices)
-            journal->append(static_cast<int>(i), outcome.results[i]);
+    {
+        obs::SpanScope scan_span(cache ? &rtrace : nullptr, "cache.scan",
+                                 root_id);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (cache && cache->lookup(grid, outcome.units[i],
+                                       outcome.results[i]))
+                ++cached;
+            else
+                pending.push_back(i);
+        }
+        scan_span.attr("hits", static_cast<std::int64_t>(cached));
+    }
+    outcome.unitsCached = static_cast<int>(cached);
 
     // Heavy per-unit recorders stream objects (trace buffers, telemetry
     // rows, profiler trees, audit violation records) that do not cross
@@ -458,13 +430,12 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
             grid, worker_opts, outcome.units, pending, options.workers);
     }
 
-    // Run-health surfaces. Legacy per-unit heartbeats (journal
-    // comments, --verbose stderr) and the new status.json / OpenMetrics
-    // publications all render from one RunHealthReporter snapshot, so
-    // every surface agrees on done/inflight/rate. Heartbeats never
-    // touch the summary, which stays byte-identical at any thread
-    // count; with no progress surface requested the reporter is not
-    // even constructed.
+    // Run-health surfaces. The --verbose stderr line and the
+    // status.json / OpenMetrics publications all render from one
+    // RunHealthReporter snapshot, so every surface agrees on
+    // done/inflight/rate. None of them touches the summary, which
+    // stays byte-identical at any thread count; with no progress
+    // surface requested the reporter is not even constructed.
     ThreadPool pool(options.threads);
     const bool want_metrics = options.obs.metricsRequested();
     obs::MetricsEndpoint endpoint;
@@ -476,13 +447,10 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
                   << endpoint.port() << "\n";
     }
     std::optional<RunHealthReporter> health;
-    if (journal || options.verbose || want_metrics ||
-        !options.statusPath.empty()) {
+    if (options.verbose || want_metrics || !options.statusPath.empty()) {
         RunHealthConfig health_cfg;
         health_cfg.totalUnits = n;
         health_cfg.pendingUnits = pending.size();
-        health_cfg.unitsResumed =
-            static_cast<std::size_t>(outcome.unitsResumed);
         health_cfg.workers =
             use_workers ? shard->workerCount() : pool.threadCount();
         health_cfg.processMode = use_workers;
@@ -491,13 +459,11 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
         health_cfg.statusPath = options.statusPath;
         health_cfg.metricsPath = options.obs.metricsOut;
         health_cfg.verbose = options.verbose;
-        health_cfg.journal = journal ? &*journal : nullptr;
         health_cfg.endpoint =
             options.obs.metricsPort >= 0 ? &endpoint : nullptr;
         health.emplace(std::move(health_cfg));
         if (cache)
-            health->setCacheCounters(cached_indices.size(),
-                                     cache->counters());
+            health->setCacheCounters(cached, cache->counters());
     }
     if (options.obs.postmortemRequested()) {
         obs::FlightRecorderConfig fr_cfg;
@@ -507,8 +473,8 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
 
     obs::StatsRegistry merged_stats;
 
-    // Once a unit's result has been journaled/cached/counted it must
-    // not be acted on again -- a crashed worker's shard is re-run in
+    // Once a unit's result has been cached/counted it must not be
+    // acted on again -- a crashed worker's shard is re-run in
     // full when stats are on (the re-run regenerates the lost stats
     // contributions), and those units' identical results would
     // otherwise double-publish.
@@ -528,14 +494,11 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
                 const std::string key = unitKey(outcome.units[i]);
                 if (health)
                     health->unitStarted(key);
-                if (journal)
-                    journal->append(static_cast<int>(i), m);
                 if (cache)
                     cache->store(grid, outcome.units[i], m);
                 if (health) {
                     if (cache)
-                        health->setCacheCounters(cached_indices.size(),
-                                                 cache->counters());
+                        health->setCacheCounters(cached, cache->counters());
                     health->unitFinished(key);
                 }
             },
@@ -587,7 +550,7 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
     const std::uint64_t inproc_id = rtrace.spanId(inproc_span);
 
     // The run's tasks are its grid's units: each unit simulated here
-    // records into its own slot; the others (resumed, cached, run by a
+    // records into its own slot; the others (cached or run by a
     // worker) record nothing.
     std::vector<obs::Recorders> recs(n);
 
@@ -635,14 +598,11 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
         }
         if (fresh) {
             reported[i] = 1;
-            if (journal)
-                journal->append(static_cast<int>(i), outcome.results[i]);
             if (cache)
                 cache->store(grid, outcome.units[i], outcome.results[i]);
             if (health) {
                 if (cache)
-                    health->setCacheCounters(cached_indices.size(),
-                                             cache->counters());
+                    health->setCacheCounters(cached, cache->counters());
                 health->unitFinished(key);
             }
         }
@@ -655,8 +615,7 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
     outcome.unitsRun = static_cast<int>(pending.size());
     if (health) {
         if (cache)
-            health->setCacheCounters(cached_indices.size(),
-                                     cache->counters());
+            health->setCacheCounters(cached, cache->counters());
         health->finish();
     }
 
@@ -723,8 +682,6 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
                      static_cast<std::uint64_t>(
                          use_workers ? shard->workerCount() : 0));
         manifest.set("units", static_cast<std::uint64_t>(n));
-        manifest.set("units_resumed",
-                     static_cast<std::uint64_t>(outcome.unitsResumed));
         manifest.set("units_run",
                      static_cast<std::uint64_t>(outcome.unitsRun));
         manifest.set("units_cached",
@@ -733,8 +690,6 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
                      static_cast<std::uint64_t>(outcome.workerCrashes));
         if (cache)
             manifest.set("unit_cache_dir", options.unitCacheDir);
-        if (!options.journalPath.empty())
-            manifest.set("journal", options.journalPath);
         options.obs.writeManifest(manifest);
     }
 

@@ -9,8 +9,9 @@
  * result slot, per-worker stats registries and the summary are merged
  * /emitted in task-index order, and all numbers are rendered with
  * shortest-round-trip formatting -- so the summary JSON is
- * byte-identical at any thread count, and a resumed campaign (progress
- * journal) reproduces the uninterrupted summary exactly.
+ * byte-identical at any thread count, and an interrupted campaign
+ * re-run with the same unit cache reproduces the uninterrupted summary
+ * exactly.
  */
 
 #ifndef SOLARCORE_CAMPAIGN_CAMPAIGN_HPP
@@ -45,12 +46,13 @@ struct CampaignOptions
     int threads = 0;          //!< thread count per process; 0 auto-detects
     int workers = 1;          //!< forked worker processes; <=1 runs
                               //!< in-process over the thread pool
-    std::string journalPath;  //!< progress journal; empty disables
-    bool resume = false;      //!< reuse completed units from the journal
     std::string unitCacheDir; //!< persistent unit-result cache; empty
-                              //!< disables
+                              //!< disables. A run re-uses the units an
+                              //!< earlier (or interrupted) run stored.
     std::size_t unitCacheCap = 4096; //!< cache LRU cap [entries]; 0 =
-                              //!< unlimited
+                              //!< unlimited. A run raises it to its
+                              //!< grid's unit count, so it never
+                              //!< evicts its own units.
     obs::ObsOptions obs;      //!< --stats-out / --trace-out / manifest
     bool verbose = false;     //!< per-unit progress lines on stderr
     std::string statusPath;   //!< run-health status.json; empty disables
@@ -77,7 +79,6 @@ struct CampaignOutcome
 {
     std::vector<ScenarioUnit> units;   //!< the expanded grid
     std::vector<UnitMetrics> results;  //!< parallel to units
-    int unitsResumed = 0;              //!< restored from the journal
     int unitsRun = 0;                  //!< simulated in this invocation
     int unitsCached = 0;               //!< served from the unit cache
     int workerCrashes = 0;             //!< forked workers that died

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 
-#include "campaign/journal.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics_export.hpp"
+#include "util/atomic_file.hpp"
 #include "util/logging.hpp"
 
 namespace solarcore::campaign {
@@ -65,13 +64,6 @@ RunHealthReporter::unitFinished(const std::string &key)
             busy_.erase(it);
     }
 
-    // The two legacy per-unit surfaces, byte-identical to the inline
-    // code they replaced.
-    if (config_.journal) {
-        config_.journal->appendComment(
-            "heartbeat " + std::to_string(finished) + "/" +
-            std::to_string(config_.pendingUnits) + " " + key);
-    }
     if (config_.verbose) {
         // One preformatted string per line so concurrent progress
         // reports interleave whole, never mid-line.
@@ -130,7 +122,6 @@ RunHealthReporter::snapshot() const
     RunHealthSnapshot s;
     s.totalUnits = config_.totalUnits;
     s.pendingUnits = config_.pendingUnits;
-    s.unitsResumed = config_.unitsResumed;
     s.workers = config_.workers;
     s.processMode = config_.processMode;
     s.cacheEnabled = config_.cacheEnabled;
@@ -156,14 +147,12 @@ RunHealthReporter::renderStatusJson(const RunHealthSnapshot &snap,
 {
     using obs::jsonNumber;
     using obs::jsonString;
-    std::string out = "{\"schema\":\"solarcore-campaign-status-v1\"";
+    std::string out = "{\"schema\":\"solarcore-campaign-status-v2\"";
     out += ",\"signature\":" + jsonString(signature);
     out += ",\"units_total\":" +
         jsonNumber(static_cast<std::uint64_t>(snap.totalUnits));
     out += ",\"units_pending\":" +
         jsonNumber(static_cast<std::uint64_t>(snap.pendingUnits));
-    out += ",\"units_resumed\":" +
-        jsonNumber(static_cast<std::uint64_t>(snap.unitsResumed));
     out += ",\"units_done\":" +
         jsonNumber(static_cast<std::uint64_t>(snap.unitsDone));
     out += ",\"units_inflight\":" +
@@ -242,9 +231,6 @@ RunHealthReporter::appendMetrics(obs::OpenMetricsWriter &w,
     w.gauge("solarcore_campaign_units_pending",
             "units executing this invocation",
             static_cast<double>(snap.pendingUnits));
-    w.gauge("solarcore_campaign_units_resumed",
-            "units restored from the journal",
-            static_cast<double>(snap.unitsResumed));
     w.gauge("solarcore_campaign_units_inflight",
             "units currently being simulated",
             static_cast<double>(snap.unitsInflight));
@@ -314,39 +300,19 @@ RunHealthReporter::publish(bool force)
         published_ = true;
     }
     const RunHealthSnapshot snap = snapshot();
-    if (!config_.statusPath.empty()) {
-        const std::string tmp = config_.statusPath + ".tmp";
-        {
-            std::ofstream os(tmp, std::ios::trunc);
-            if (!os) {
-                SC_WARN_ONCE("run-health: cannot open '", tmp, "'");
-                return;
-            }
-            os << renderStatusJson(snap, config_.signature);
-        }
-        if (std::rename(tmp.c_str(), config_.statusPath.c_str()) != 0)
-            SC_WARN_ONCE("run-health: rename to '", config_.statusPath,
-                         "' failed");
-    }
+    std::string error;
+    if (!config_.statusPath.empty() &&
+        !util::writeFileAtomically(
+            config_.statusPath, renderStatusJson(snap, config_.signature),
+            error))
+        SC_WARN_ONCE("run-health: ", error);
     if (config_.endpoint != nullptr || !config_.metricsPath.empty()) {
         const std::string payload = renderMetrics(snap);
         if (config_.endpoint != nullptr)
             config_.endpoint->update(payload);
-        if (!config_.metricsPath.empty()) {
-            const std::string tmp = config_.metricsPath + ".tmp";
-            {
-                std::ofstream os(tmp, std::ios::trunc);
-                if (!os) {
-                    SC_WARN_ONCE("run-health: cannot open '", tmp, "'");
-                    return;
-                }
-                os << payload;
-            }
-            if (std::rename(tmp.c_str(),
-                            config_.metricsPath.c_str()) != 0)
-                SC_WARN_ONCE("run-health: rename to '",
-                             config_.metricsPath, "' failed");
-        }
+        if (!config_.metricsPath.empty() &&
+            !util::writeFileAtomically(config_.metricsPath, payload, error))
+            SC_WARN_ONCE("run-health: ", error);
     }
 }
 

@@ -3,23 +3,20 @@
  * Campaign run-health reporting: one snapshot source feeding every
  * progress surface.
  *
- * runCampaign() used to hand-roll its progress outputs inline (a
- * journal heartbeat comment and a --verbose stderr ETA line per
- * completed unit). The RunHealthReporter centralizes that state --
- * done counter, in-flight unit keys, monotonic wall clock -- and fans
- * one consistent snapshot out to four surfaces:
+ * The RunHealthReporter keeps a campaign's progress state -- done
+ * counter, in-flight unit keys, monotonic wall clock -- and fans one
+ * consistent snapshot out to three surfaces:
  *
- *   - the journal heartbeat comment   (byte-identical legacy format)
- *   - the --verbose stderr line       (byte-identical legacy format)
+ *   - the --verbose stderr ETA line   (one per completed unit)
  *   - a versioned status.json         (--status-out, atomic rename)
  *   - the OpenMetrics endpoint        (--metrics-port/--metrics-out)
  *
- * The legacy per-unit surfaces fire on every completion exactly as
- * before; the new file/endpoint publications are throttled on the
- * monotonic clock (default 4 Hz) so a million-unit campaign does not
- * spend its time rewriting status.json. All surfaces are off by
- * default and the reporter is never constructed unless one of them is
- * requested, keeping the disabled-path cost at zero.
+ * The --verbose line fires on every completion; the file/endpoint
+ * publications are throttled on the monotonic clock (default 4 Hz) so
+ * a million-unit campaign does not spend its time rewriting
+ * status.json. All surfaces are off by default and the reporter is
+ * never constructed unless one of them is requested, keeping the
+ * disabled-path cost at zero.
  */
 
 #ifndef SOLARCORE_CAMPAIGN_RUN_HEALTH_HPP
@@ -40,8 +37,6 @@ class OpenMetricsWriter;
 
 namespace solarcore::campaign {
 
-class JournalWriter;
-
 /** One forked worker's progress, as shown on the health surfaces. */
 struct WorkerHealthRow
 {
@@ -59,7 +54,6 @@ struct RunHealthConfig
 {
     std::size_t totalUnits = 0;   //!< expanded grid size
     std::size_t pendingUnits = 0; //!< units executing this invocation
-    std::size_t unitsResumed = 0; //!< restored from the journal
     std::size_t workers = 0;      //!< thread-pool width (or process
                                   //!< count in --workers mode)
     bool processMode = false;     //!< forked-worker execution
@@ -67,8 +61,7 @@ struct RunHealthConfig
     std::string signature;        //!< grid signature string
     std::string statusPath;       //!< status.json path; empty disables
     std::string metricsPath;      //!< OpenMetrics snapshot file path
-    bool verbose = false;         //!< legacy stderr progress lines
-    JournalWriter *journal = nullptr;       //!< heartbeat comments
+    bool verbose = false;         //!< stderr progress lines
     obs::MetricsEndpoint *endpoint = nullptr; //!< scrape payloads
     double minPublishSeconds = 0.25;        //!< file/endpoint throttle
 };
@@ -78,7 +71,6 @@ struct RunHealthSnapshot
 {
     std::size_t totalUnits = 0;
     std::size_t pendingUnits = 0;
-    std::size_t unitsResumed = 0;
     std::size_t unitsDone = 0;
     std::size_t unitsInflight = 0;
     std::size_t queueDepth = 0; //!< not yet started
@@ -109,9 +101,9 @@ class RunHealthReporter
     void unitStarted(const std::string &key);
 
     /**
-     * A worker finished the unit named @p key: emits the legacy
-     * journal heartbeat and --verbose line, and (throttled) republishes
-     * status.json and the metrics payload.
+     * A worker finished the unit named @p key: emits the --verbose
+     * line and (throttled) republishes status.json and the metrics
+     * payload.
      */
     void unitFinished(const std::string &key);
 

@@ -7,9 +7,9 @@
  * plus the battery-equipped MPPT baseline), workload mixes and seeds
  * -- together with the shared simulation knobs. expandGrid() unrolls
  * the grid into an indexed list of work units in a fixed site-major
- * nesting order, so a unit's index (and therefore every journal entry
- * and summary row) is a pure function of the grid, independent of
- * thread count or execution order.
+ * nesting order, so a unit's index (and therefore every summary row)
+ * is a pure function of the grid, independent of thread count or
+ * execution order.
  */
 
 #ifndef SOLARCORE_CAMPAIGN_SCENARIO_HPP
@@ -64,9 +64,10 @@ struct ScenarioGrid
     /**
      * PV kernel token: "auto" (runtime dispatch), "scalar" or "avx2".
      * runCampaign resolves "auto" to the dispatched kernel
-     * and records the *resolved* name in the grid signature, so two
-     * runs whose journals/summaries are byte-compatible are guaranteed
-     * to have used the same kernel.
+     * and records the *resolved* name in the grid signature and every
+     * unit-cache key, so two runs whose summaries are byte-compatible
+     * are guaranteed to have used the same kernel, and a cached unit
+     * is never re-used under another kernel.
      */
     std::string pvKernel = "auto";
 
@@ -111,13 +112,13 @@ std::vector<ScenarioUnit> expandGrid(const ScenarioGrid &grid);
 /** Number of (site, month, seed) days @p grid replays. */
 std::size_t dayCount(const ScenarioGrid &grid);
 
-/** Human/journal key, e.g. "AZ-Jan-opt-HM2-s1". */
+/** Human-readable unit key, e.g. "AZ-Jan-opt-HM2-s1". */
 std::string unitKey(const ScenarioUnit &unit);
 
 /**
- * A stable one-line signature of the grid (axes and knobs). Journals
- * record it so a resume against a different grid is rejected instead
- * of silently mixing incompatible results.
+ * A stable one-line signature of the grid (axes and knobs). The run
+ * manifest and status.json name the grid by it, and the planning
+ * daemon keys its answer cache on it.
  */
 std::string gridSignature(const ScenarioGrid &grid);
 

@@ -121,7 +121,7 @@ unpackUnitFrame(const std::string &payload, std::uint32_t &unit_index,
  * The worker child: simulate pending[begin..end) over this process's
  * own thread pool, streaming each unit frame as it completes and the
  * shard-merged stats registry once at the end. Never returns; exits
- * 0 on success. Uses _exit so the parent's inherited state (journal
+ * 0 on success. Uses _exit so the parent's inherited state (open
  * streams, atexit hooks) is never touched from the child.
  */
 [[noreturn]] void

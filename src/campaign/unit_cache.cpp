@@ -2,9 +2,9 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "obs/json.hpp"
+#include "util/atomic_file.hpp"
 #include "util/hash.hpp"
 #include "util/logging.hpp"
 
@@ -71,8 +71,8 @@ UnitResultCache::keyMaterial(const ScenarioGrid &grid,
     // The unit-relevant closure only: axes of THIS unit plus the
     // shared knobs and resolved kernel -- never the grid's axis lists,
     // so overlapping grids share entries (see file header). The
-    // metric schema is folded in by name so a schema change (like a
-    // journal hash change) invalidates rather than misreads.
+    // metric schema is folded in by name so a schema change
+    // invalidates rather than misreads.
     std::string m = "unit-v";
     m += std::to_string(kUnitCacheCodeVersion);
     m += " site=";
@@ -185,26 +185,18 @@ UnitResultCache::store(const ScenarioGrid &grid, const ScenarioUnit &unit,
 
     // Atomic publication: a reader sees the old entry, the new entry,
     // or a miss -- never a torn file.
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::trunc);
-        if (!os) {
-            SC_WARN_ONCE("unit-cache: cannot write '", tmp, "'");
-            return;
-        }
-        os << kEntryMagic << '\n' << material << '\n';
-        for (std::size_t i = 0; i < kNumMetricFields; ++i) {
-            if (i)
-                os << ' ';
-            os << obs::jsonNumber(metrics.*(kFields[i].member));
-        }
-        os << '\n';
+    std::string text = kEntryMagic;
+    text += '\n';
+    text += material;
+    text += '\n';
+    for (std::size_t i = 0; i < kNumMetricFields; ++i) {
+        if (i)
+            text += ' ';
+        text += obs::jsonNumber(metrics.*(kFields[i].member));
     }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        SC_WARN_ONCE("unit-cache: rename to '", path, "' failed");
-        fs::remove(tmp, ec);
+    text += '\n';
+    if (std::string error; !util::writeFileAtomically(path, text, error)) {
+        SC_WARN_ONCE("unit-cache: ", error);
         return;
     }
 

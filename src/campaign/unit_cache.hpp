@@ -8,8 +8,8 @@
  * keys on exactly that closure -- deliberately NOT on the full grid
  * signature, which also names the axis *lists*: two overlapping grids
  * (say fig13 and a superset sweep) share every unit they have in
- * common, so a warm cache accelerates re-runs, --resume, and
- * overlapping grids alike.
+ * common, so a warm cache accelerates re-runs, the resumption of an
+ * interrupted campaign, and overlapping grids alike.
  *
  * Layout: one small text file per entry under the cache directory,
  * named by the FNV-1a hash of the key material. The file stores the
@@ -18,8 +18,12 @@
  * so a cache hit reproduces the simulated bytes exactly. Eviction is
  * LRU by file mtime with a configurable entry cap; lookups touch the
  * file to refresh recency. Thread-safe; cross-process safety comes
- * from writes going through a rename (a torn entry is impossible,
- * concurrent writers of the same key store identical bytes).
+ * from util::writeFileAtomically: every store stages under a temp
+ * name of its own and renames it over the entry, so a torn entry is
+ * impossible and concurrent stores of one key all land (the last
+ * rename wins; a unit's metrics are a pure function of its key).
+ * Files other than `<hash>.unit` (a killed writer's temp file, say)
+ * are never read.
  */
 
 #ifndef SOLARCORE_CAMPAIGN_UNIT_CACHE_HPP

@@ -1,12 +1,13 @@
 /**
  * @file
  * The per-unit metric record shared by the campaign runner, the
- * progress journal and the summary exporter. One flat, fixed schema:
- * every field is a double (counters included) so the journal and the
- * summary serialize from a single field table and stay in lockstep
- * with the struct. Extending the schema = adding a field here and a
- * row to metricFields(); the journal hash changes automatically, which
- * invalidates stale journals instead of misreading them.
+ * persistent unit cache and the summary exporter. One flat, fixed
+ * schema: every field is a double (counters included) so the cache
+ * entries and the summary serialize from a single field table and
+ * stay in lockstep with the struct. Extending the schema = adding a
+ * field here and a row to metricFields(); the field names are part of
+ * every unit-cache key, so stale entries miss instead of being
+ * misread.
  */
 
 #ifndef SOLARCORE_CAMPAIGN_UNIT_METRICS_HPP

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <netinet/in.h>
@@ -16,6 +15,7 @@
 #include "obs/json.hpp"
 #include "obs/profiler.hpp"
 #include "obs/stats_registry.hpp"
+#include "util/atomic_file.hpp"
 #include "util/logging.hpp"
 
 namespace solarcore::obs {
@@ -855,22 +855,9 @@ MetricsEndpoint::payload() const
 bool
 MetricsEndpoint::writeSnapshot(const std::string &path) const
 {
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::trunc);
-        if (!os) {
-            SC_WARN("metrics: cannot open '", tmp, "'");
-            return false;
-        }
-        os << payload();
-        if (!os) {
-            SC_WARN("metrics: short write to '", tmp, "'");
-            return false;
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        SC_WARN("metrics: rename to '", path,
-                "' failed: ", std::strerror(errno));
+    std::string error;
+    if (!util::writeFileAtomically(path, payload(), error)) {
+        SC_WARN("metrics: ", error);
         return false;
     }
     return true;

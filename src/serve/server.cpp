@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 
 #include "campaign/campaign.hpp"
@@ -11,6 +10,7 @@
 #include "core/simulation.hpp"
 #include "obs/json.hpp"
 #include "pv/pv_kernel.hpp"
+#include "util/atomic_file.hpp"
 #include "util/logging.hpp"
 
 #if !defined(_WIN32)
@@ -1180,39 +1180,20 @@ Server::publish(bool force)
     }
     const ServeSnapshot snap = snapshot();
     std::lock_guard<std::mutex> lock(publishMutex_);
-    if (!config_.statusPath.empty()) {
-        const std::string tmp = config_.statusPath + ".tmp";
-        {
-            std::ofstream os(tmp, std::ios::trunc);
-            if (!os) {
-                SC_WARN_ONCE("serve: cannot open '", tmp, "'");
-                return;
-            }
-            os << renderStatusJson(snap, config_.socketPath,
-                                   resolvedKernel_);
-        }
-        if (std::rename(tmp.c_str(), config_.statusPath.c_str()) != 0)
-            SC_WARN_ONCE("serve: rename to '", config_.statusPath,
-                         "' failed");
-    }
+    std::string error;
+    if (!config_.statusPath.empty() &&
+        !util::writeFileAtomically(
+            config_.statusPath,
+            renderStatusJson(snap, config_.socketPath, resolvedKernel_),
+            error))
+        SC_WARN_ONCE("serve: ", error);
     if (want_metrics) {
         fillRegistry(snap);
         const std::string payload = renderMetrics(snap);
         endpoint_.update(payload);
-        if (!config_.metricsOut.empty()) {
-            const std::string tmp = config_.metricsOut + ".tmp";
-            {
-                std::ofstream os(tmp, std::ios::trunc);
-                if (!os) {
-                    SC_WARN_ONCE("serve: cannot open '", tmp, "'");
-                    return;
-                }
-                os << payload;
-            }
-            if (std::rename(tmp.c_str(), config_.metricsOut.c_str()) != 0)
-                SC_WARN_ONCE("serve: rename to '", config_.metricsOut,
-                             "' failed");
-        }
+        if (!config_.metricsOut.empty() &&
+            !util::writeFileAtomically(config_.metricsOut, payload, error))
+            SC_WARN_ONCE("serve: ", error);
     }
 }
 

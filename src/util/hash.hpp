@@ -1,8 +1,8 @@
 /**
  * @file
  * FNV-1a hashing, shared by every component that keys on clear-text
- * material: the campaign journal header, the persistent unit-result
- * cache and the serve-layer query/result cache. One implementation so
+ * material: the persistent unit-result cache and the serve-layer
+ * query/result cache. One implementation so
  * the "hash of the key material, stored next to the material so a
  * collision reads as a miss" idiom stays byte-compatible across
  * layers.

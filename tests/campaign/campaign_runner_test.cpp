@@ -1,24 +1,36 @@
 /**
  * @file
  * End-to-end tests for the sharded campaign runner: summary JSON is
- * byte-identical at any thread count, an interrupted campaign resumes
- * from its journal to the exact same bytes, and the emitted document
- * is well-formed against the golden parser.
+ * byte-identical at any thread count, an interrupted campaign (even
+ * one killed with SIGKILL) resumes from its unit cache to the exact
+ * same bytes, and the emitted document is well-formed against the
+ * golden parser.
  */
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "campaign/campaign.hpp"
 #include "campaign/golden.hpp"
-#include "campaign/journal.hpp"
+#include "campaign/shard_exec.hpp"
 
 namespace solarcore::campaign {
 namespace {
+
+namespace fs = std::filesystem;
 
 /** A cheap grid: coarse steps, but every policy family represented. */
 ScenarioGrid
@@ -36,11 +48,14 @@ testGrid()
 }
 
 std::string
-summaryFor(const ScenarioGrid &grid, const CampaignOptions &options)
+summaryFor(const ScenarioGrid &grid, const CampaignOptions &options,
+           CampaignOutcome *outcome_out = nullptr)
 {
     const auto outcome = runCampaign(grid, options);
     std::ostringstream os;
     writeSummaryJson(os, grid, outcome);
+    if (outcome_out != nullptr)
+        *outcome_out = outcome;
     return os.str();
 }
 
@@ -48,8 +63,29 @@ std::string
 tempPath(const char *tag)
 {
     return ::testing::TempDir() + "campaign_runner_" + tag + "_" +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-        ".journal";
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+}
+
+/** The entries of the unit cache in @p dir, sorted by name. */
+std::vector<fs::path>
+unitEntries(const std::string &dir)
+{
+    std::vector<fs::path> entries;
+    std::error_code ec;
+    for (const auto &entry : fs::directory_iterator(dir, ec))
+        if (entry.path().extension() == ".unit")
+            entries.push_back(entry.path());
+    std::sort(entries.begin(), entries.end());
+    return entries;
+}
+
+std::string
+readFile(const fs::path &path)
+{
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
 }
 
 TEST(CampaignRunner, SummaryIsByteIdenticalAcrossThreadCounts)
@@ -87,82 +123,133 @@ TEST(CampaignRunner, RunUnitIsDeterministicPerUnit)
 TEST(CampaignRunner, ResumedCampaignReproducesUninterruptedSummary)
 {
     const auto grid = testGrid();
-    const std::string journal_path = tempPath("resume");
-    std::remove(journal_path.c_str());
+    const int n = static_cast<int>(grid.unitCount());
+    const std::string dir = tempPath("resume");
+    fs::remove_all(dir);
 
     CampaignOptions options;
     options.threads = 2;
-    options.journalPath = journal_path;
+    options.unitCacheDir = dir;
     const std::string full = summaryFor(grid, options);
 
-    // "Kill" the campaign after four units: keep the header plus four
-    // metric records and drop the rest, leaving a torn half-line at
-    // the end as a crash would. The journal also carries one heartbeat
-    // comment per unit; keep one so the reload's comment-skipping is
-    // exercised too.
-    std::string header, heartbeat;
-    std::vector<std::string> records;
-    {
-        std::ifstream in(journal_path);
-        std::string line;
-        ASSERT_TRUE(std::getline(in, header));
-        while (std::getline(in, line)) {
-            if (!line.empty() && line[0] == '#')
-                heartbeat = line;
-            else
-                records.push_back(line);
-        }
-    }
-    ASSERT_EQ(records.size(), grid.unitCount());
-    ASSERT_FALSE(heartbeat.empty());
-    {
-        std::ofstream out(journal_path, std::ios::trunc);
-        out << header << '\n' << heartbeat << '\n';
-        for (std::size_t i = 0; i < 4; ++i)
-            out << records[i] << '\n';
-        out << records[4].substr(0, records[4].size() / 2); // torn write
-    }
+    // "Kill" the campaign after four units: keep four entries, tear a
+    // fifth in half, and delete the rest.
+    std::vector<fs::path> entries = unitEntries(dir);
+    ASSERT_EQ(entries.size(), grid.unitCount());
+    for (std::size_t i = 5; i < entries.size(); ++i)
+        fs::remove(entries[i]);
+    const std::string torn = readFile(entries[4]);
+    std::ofstream(entries[4], std::ios::trunc)
+        << torn.substr(0, torn.size() / 2);
 
-    CampaignOptions resume = options;
-    resume.resume = true;
-    const auto outcome = runCampaign(grid, resume);
-    EXPECT_EQ(outcome.unitsResumed, 4);
-    EXPECT_EQ(outcome.unitsRun,
-              static_cast<int>(grid.unitCount()) - 4);
-    std::ostringstream os;
-    writeSummaryJson(os, grid, outcome);
-    EXPECT_EQ(os.str(), full);
+    CampaignOutcome outcome;
+    EXPECT_EQ(summaryFor(grid, options, &outcome), full);
+    EXPECT_EQ(outcome.unitsCached, 4);
+    EXPECT_EQ(outcome.unitsRun, n - 4);
 
-    // After the resumed run the journal is complete: a second resume
+    // After the resumed run the cache is complete: a second re-run
     // recomputes nothing.
-    CampaignOptions again = options;
-    again.resume = true;
-    const auto noop = runCampaign(grid, again);
-    EXPECT_EQ(noop.unitsResumed, static_cast<int>(grid.unitCount()));
+    CampaignOutcome noop;
+    EXPECT_EQ(summaryFor(grid, options, &noop), full);
+    EXPECT_EQ(noop.unitsCached, n);
     EXPECT_EQ(noop.unitsRun, 0);
-    std::remove(journal_path.c_str());
+    fs::remove_all(dir);
 }
 
-TEST(CampaignRunner, JournalFromDifferentGridIsIgnored)
+TEST(CampaignRunner, KilledCampaignResumesFromItsUnitCache)
+{
+    if (!processShardingSupported())
+        GTEST_SKIP() << "no fork on this platform";
+    // Long enough (~0.4 s at one thread in a Release build) that the
+    // kill lands mid-run.
+    ScenarioGrid grid;
+    ASSERT_TRUE(applyPreset("full", grid));
+    const std::size_t n = grid.unitCount();
+    CampaignOptions reference;
+    reference.threads = 4;
+    const std::string full = summaryFor(grid, reference);
+
+    const std::string dir = tempPath("killed");
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::fflush(nullptr);
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        CampaignOptions options;
+        options.threads = 1;
+        options.unitCacheDir = dir;
+        runCampaign(grid, options);
+        _exit(0);
+    }
+    // SIGKILL it once k units are stored: no destructor, no flush.
+    constexpr std::size_t k = 8;
+    int status = 0;
+    pid_t reaped = 0;
+    while (unitEntries(dir).size() < k &&
+           (reaped = ::waitpid(child, &status, WNOHANG)) == 0)
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    if (reaped == 0) {
+        ::kill(child, SIGKILL);
+        reaped = ::waitpid(child, &status, 0);
+    }
+    ASSERT_EQ(reaped, child);
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+        << "the run ended before the kill";
+    const std::size_t stored = unitEntries(dir).size();
+    ASSERT_GE(stored, k);
+    ASSERT_LT(stored, n);
+
+    // A killed writer's temp file, in the old and the new naming, in
+    // the directory: never read as an entry.
+    const fs::path entry = unitEntries(dir).front();
+    const std::string text = readFile(entry);
+    std::ofstream(entry.string() + ".tmp") << text.substr(0, 40);
+    std::ofstream(entry.string() + ".tmp.1.0") << "garbage";
+
+    for (const int threads : {1, 4}) {
+        const std::string copy = dir + "_t" + std::to_string(threads);
+        fs::remove_all(copy);
+        fs::copy(dir, copy);
+        CampaignOptions options;
+        options.threads = threads;
+        options.unitCacheDir = copy;
+        CampaignOutcome outcome;
+        EXPECT_EQ(summaryFor(grid, options, &outcome), full)
+            << "threads=" << threads;
+        EXPECT_EQ(outcome.unitsCached, static_cast<int>(stored));
+        EXPECT_EQ(outcome.unitsRun, static_cast<int>(n - stored));
+        fs::remove_all(copy);
+    }
+    fs::remove_all(dir);
+}
+
+TEST(CampaignRunner, GridLargerThanCacheCapResumesEveryUnit)
 {
     const auto grid = testGrid();
-    const std::string journal_path = tempPath("mismatch");
-    std::remove(journal_path.c_str());
+    const int n = static_cast<int>(grid.unitCount());
+    const std::string dir = tempPath("cap");
+    fs::remove_all(dir);
 
     CampaignOptions options;
-    options.threads = 1;
-    options.journalPath = journal_path;
-    summaryFor(grid, options);
+    options.threads = 2;
+    options.unitCacheDir = dir;
+    options.unitCacheCap = 2; // below the grid's unit count
+    const std::string full = summaryFor(grid, options);
 
-    // Same journal path, different grid: nothing may be resumed.
+    // The run kept every unit it stored, so its re-run simulates none.
+    CampaignOutcome again;
+    EXPECT_EQ(summaryFor(grid, options, &again), full);
+    EXPECT_EQ(again.unitsCached, n);
+    EXPECT_EQ(again.unitsRun, 0);
+
+    // The cap still evicts the units of other runs: another grid of n
+    // units leaves its own n entries.
     auto other = grid;
     other.dtSeconds = 240.0;
-    CampaignOptions resume = options;
-    resume.resume = true;
-    const auto outcome = runCampaign(other, resume);
-    EXPECT_EQ(outcome.unitsResumed, 0);
-    EXPECT_EQ(outcome.unitsRun, static_cast<int>(other.unitCount()));
-    std::remove(journal_path.c_str());
+    summaryFor(other, options);
+    EXPECT_EQ(unitEntries(dir).size(), grid.unitCount());
+    fs::remove_all(dir);
 }
 
 TEST(CampaignRunner, SummaryParsesAndCarriesTheGridAndAggregates)

@@ -2,12 +2,12 @@
  * @file
  * Tests for the campaign run-health reporter: snapshot arithmetic
  * (in-flight, queue depth, utilization), the versioned status.json
- * document and its atomic publication, the legacy journal heartbeat
- * format (byte-compatibility with the pre-reporter runner), and the
- * OpenMetrics rendering, which must pass the structural linter.
+ * document and its atomic publication, and the OpenMetrics rendering,
+ * which must pass the structural linter.
  */
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "campaign/golden.hpp"
-#include "campaign/journal.hpp"
 #include "campaign/run_health.hpp"
 #include "obs/metrics_export.hpp"
 
@@ -40,7 +39,6 @@ TEST(RunHealth, SnapshotTracksInflightAndQueue)
     RunHealthConfig config;
     config.totalUnits = 10;
     config.pendingUnits = 8;
-    config.unitsResumed = 2;
     config.workers = 4;
     RunHealthReporter reporter(config);
 
@@ -82,7 +80,7 @@ TEST(RunHealth, StatusJsonSchemaAndFields)
     reporter.unitFinished("AZ-Jan-opt-H1-s1");
 
     auto doc = parseFile(path);
-    EXPECT_EQ(doc.at("schema").text, "solarcore-campaign-status-v1");
+    EXPECT_EQ(doc.at("schema").text, "solarcore-campaign-status-v2");
     EXPECT_EQ(doc.at("signature").text, "sites=AZ, months=Jan");
     EXPECT_DOUBLE_EQ(doc.at("units_total").number, 3.0);
     EXPECT_DOUBLE_EQ(doc.at("units_pending").number, 3.0);
@@ -94,40 +92,18 @@ TEST(RunHealth, StatusJsonSchemaAndFields)
     EXPECT_EQ(doc.at("busy.0").text, "AZ-Jan-opt-H1-s2");
     EXPECT_GE(doc.at("units_per_second").number, 0.0);
 
-    // finish() republishes unconditionally; the staging file is gone.
+    // finish() republishes unconditionally; no staging file is left.
     reporter.unitFinished("AZ-Jan-opt-H1-s2");
     reporter.finish();
     doc = parseFile(path);
     EXPECT_DOUBLE_EQ(doc.at("units_done").number, 2.0);
     EXPECT_DOUBLE_EQ(doc.at("units_inflight").number, 0.0);
-    EXPECT_FALSE(std::ifstream(path + ".tmp").good());
-    std::remove(path.c_str());
-}
-
-TEST(RunHealth, JournalHeartbeatKeepsLegacyFormat)
-{
-    const std::string path =
-        testing::TempDir() + "run_health_journal_test.jsonl";
-    std::remove(path.c_str());
-    JournalWriter journal(path, "test-signature", true);
-    ASSERT_TRUE(journal.ok());
-
-    RunHealthConfig config;
-    config.totalUnits = 2;
-    config.pendingUnits = 2;
-    config.workers = 1;
-    config.journal = &journal;
-    RunHealthReporter reporter(config);
-    reporter.unitStarted("AZ-Jan-opt-H1-s1");
-    reporter.unitFinished("AZ-Jan-opt-H1-s1");
-
-    std::ifstream is(path);
-    std::string line;
-    bool found = false;
-    while (std::getline(is, line))
-        found = found ||
-            line == "# heartbeat 1/2 AZ-Jan-opt-H1-s1";
-    EXPECT_TRUE(found) << "legacy heartbeat comment missing";
+    const std::filesystem::path status(path);
+    const std::string staging = status.filename().string() + ".tmp";
+    for (const auto &entry :
+         std::filesystem::directory_iterator(status.parent_path()))
+        EXPECT_NE(entry.path().filename().string().rfind(staging, 0), 0u)
+            << entry.path();
     std::remove(path.c_str());
 }
 

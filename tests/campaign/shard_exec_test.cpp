@@ -168,32 +168,6 @@ TEST(ShardExec, ReusableWorkspaceChangesNoNumbers)
     }
 }
 
-TEST(ShardExec, WorkersComposeWithJournalResume)
-{
-    if (!util::pipeChannelSupported())
-        GTEST_SKIP() << "no fork/pipe on this platform";
-    const auto grid = testGrid();
-    TempDir dir("journal");
-    fs::create_directories(dir.path);
-    const std::string journal = dir.path + "/campaign.journal";
-
-    CampaignOptions sharded;
-    sharded.threads = 1;
-    sharded.workers = 2;
-    sharded.journalPath = journal;
-    const std::string ref = summaryFor(grid, sharded);
-
-    // A resume against the worker-written journal recomputes nothing
-    // and reproduces the bytes.
-    CampaignOptions resume = sharded;
-    resume.resume = true;
-    CampaignOutcome outcome;
-    EXPECT_EQ(summaryFor(grid, resume, &outcome), ref);
-    EXPECT_EQ(outcome.unitsResumed,
-              static_cast<int>(grid.unitCount()));
-    EXPECT_EQ(outcome.unitsRun, 0);
-}
-
 TEST(ShardExec, WorkerSpansStitchIntoOneTraceWithoutChangingSummary)
 {
     if (!util::pipeChannelSupported())

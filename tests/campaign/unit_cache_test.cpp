@@ -3,13 +3,17 @@
  * Tests for the persistent unit-result cache: store/lookup round
  * trips bit-exactly, keys react to every simulation-relevant knob,
  * corrupt or mismatched entries read as misses (never wrong results),
- * the LRU cap evicts oldest-first, and entries persist across handles.
+ * the LRU cap evicts oldest-first, entries persist across handles, and
+ * concurrent stores of one key all land.
  */
 
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -200,6 +204,41 @@ TEST(UnitCache, LruCapEvictsOldestFirst)
     EXPECT_TRUE(cache.lookup(grid, units[0], out));
     EXPECT_FALSE(cache.lookup(grid, units[1], out));
     EXPECT_TRUE(cache.lookup(grid, units[2], out));
+}
+
+TEST(UnitCache, ConcurrentStoresOfOneKeyAllLand)
+{
+    // Two writers of one key (say the daemon's two workers simulating
+    // one unit) each stage under a temp name of their own: every store
+    // lands, none loses its temp file to another's rename.
+    const auto grid = cacheGrid();
+    const auto units = expandGrid(grid);
+    CacheDir dir;
+    UnitResultCache cache(dir.path, 0, "audit=off");
+    const UnitMetrics stored = fakeMetrics(9.0);
+    constexpr int kThreads = 8;
+    constexpr int kStores = 200;
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t)
+        writers.emplace_back([&] {
+            for (int i = 0; i < kStores; ++i)
+                cache.store(grid, units[0], stored);
+        });
+    for (std::thread &w : writers)
+        w.join();
+
+    EXPECT_EQ(cache.counters().stores,
+              static_cast<std::uint64_t>(kThreads * kStores));
+    EXPECT_EQ(cache.size(), 1u);
+    UnitMetrics out;
+    ASSERT_TRUE(cache.lookup(grid, units[0], out));
+    expectEqualMetrics(out, stored);
+    std::size_t files = 0;
+    for (const auto &entry : fs::directory_iterator(dir.path)) {
+        EXPECT_EQ(entry.path().extension(), ".unit") << entry.path();
+        ++files;
+    }
+    EXPECT_EQ(files, 1u); // no temp file left behind
 }
 
 TEST(UnitCache, UnwritableDirectoryDegradesToAllMisses)

@@ -120,7 +120,7 @@ TEST(Telemetry, ConcatIndexesUnitsByVectorPosition)
         rec->set(ch, rec == &u0 ? 1.0 : 2.0);
         rec->endStep();
     }
-    // A null slot (a resumed campaign unit) still advances the unit
+    // A null slot (a cached campaign unit) still advances the unit
     // column, so indices name grid positions.
     std::ostringstream os;
     TelemetryRecorder::writeCsvConcat({&u0, nullptr, &u2}, os);

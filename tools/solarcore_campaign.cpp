@@ -8,12 +8,14 @@
  *   solarcore_campaign --preset=smoke --threads=4 --out=smoke.json
  *   solarcore_campaign --sites=AZ,CO --months=Jan,Jul \
  *       --policies=opt,fixed,battery --workloads=H1,HM2 --seeds=1,2 \
- *       --dt=30 --journal=run.journal --out=summary.json
- *   solarcore_campaign ... --journal=run.journal --resume   # continue
+ *       --dt=30 --unit-cache=uc --out=summary.json
+ *   solarcore_campaign ... --unit-cache=uc   # continue after a kill
  *
- * The summary is byte-identical for any --threads value, and a
- * resumed campaign reproduces the uninterrupted summary exactly; see
- * DESIGN.md section "Campaigns and golden baselines".
+ * The summary is byte-identical for any --threads value, and an
+ * interrupted campaign re-run with the same --unit-cache simulates
+ * only the units it had not stored and reproduces the uninterrupted
+ * summary exactly; see DESIGN.md section "Campaigns and golden
+ * baselines".
  *
  * Options:
  *   --preset=smoke|fig13|fig14|full   start from a named grid
@@ -28,8 +30,10 @@
  *     their product are each at most ThreadPool::maxThreads() (16 per
  *     hardware thread).
  *   --unit-cache=DIR --unit-cache-cap=N   persistent on-disk LRU of
- *     unit results; warm re-runs and overlapping grids skip simulation
- *   --out=FILE (default stdout)  --journal=FILE  --resume  --verbose
+ *     unit results, stored as each unit finishes; re-runs, interrupted
+ *     runs and overlapping grids skip the units it holds. A run never
+ *     evicts its own units; 0 = no cap (a cache shared by many grids).
+ *   --out=FILE (default stdout)  --verbose
  *   --stats-out= --trace-out= --trace-buffer= --manifest-out=
  *   --telemetry-out= --telemetry-every= --telemetry-mode=
  *   --profile-out= --audit= --audit-out=
@@ -76,7 +80,6 @@ usage(const char *complaint = nullptr)
            "  [--pv-kernel=auto|scalar|avx2]\n"
            "  [--threads=N] [--workers=N] [--out=FILE]\n"
            "  [--unit-cache=DIR] [--unit-cache-cap=N]\n"
-           "  [--journal=FILE] [--resume]\n"
            "  [--verbose] [--stats-out=F] [--trace-out=F] "
            "[--trace-buffer=N] [--manifest-out=F]\n"
            "  [--telemetry-out=F.csv] [--telemetry-every=N] "
@@ -165,10 +168,6 @@ main(int argc, char **argv)
             options.unitCacheCap = numberFlag<std::size_t>(key, value);
         } else if (key == "--out") {
             out_path = value;
-        } else if (key == "--journal") {
-            options.journalPath = value;
-        } else if (key == "--resume") {
-            options.resume = true;
         } else if (key == "--verbose") {
             options.verbose = true;
         } else if (key == "--status-out") {
@@ -209,7 +208,6 @@ main(int argc, char **argv)
     std::cerr << "campaign: " << grid.unitCount() << " units\n";
     const auto outcome = campaign::runCampaign(grid, options);
     std::cerr << "campaign: " << outcome.unitsRun << " run, "
-              << outcome.unitsResumed << " resumed from journal, "
               << outcome.unitsCached << " cached\n";
     if (outcome.workerCrashes > 0)
         std::cerr << "campaign: " << outcome.workerCrashes

@@ -54,7 +54,7 @@ struct Status
 {
     bool serve = false; //!< solarcore-serve-status-v1 document
     std::string signature;
-    double total = 0, pending = 0, resumed = 0, done = 0;
+    double total = 0, pending = 0, done = 0;
     double inflight = 0, queueDepth = 0, workers = 0;
     double elapsed = 0, rate = 0, eta = 0, utilization = 0;
     std::vector<std::string> busy;
@@ -180,7 +180,7 @@ loadStatus(const std::string &path, Status &out, std::string &problem)
         return true;
     }
     if (schema == doc.end() ||
-        schema->second.text != "solarcore-campaign-status-v1") {
+        schema->second.text != "solarcore-campaign-status-v2") {
         problem = "not a solarcore status file";
         return false;
     }
@@ -189,7 +189,6 @@ loadStatus(const std::string &path, Status &out, std::string &problem)
         sig == doc.end() ? std::string() : sig->second.text;
     out.total = num(doc, "units_total");
     out.pending = num(doc, "units_pending");
-    out.resumed = num(doc, "units_resumed");
     out.done = num(doc, "units_done");
     out.inflight = num(doc, "units_inflight");
     out.queueDepth = num(doc, "queue_depth");
@@ -357,8 +356,6 @@ render(std::ostream &os, const Status &st)
     std::snprintf(pct, sizeof(pct), "%5.1f%%", frac * 100.0);
     os << "] " << pct << "  " << static_cast<long>(st.done) << "/"
        << static_cast<long>(st.pending);
-    if (st.resumed > 0)
-        os << " (+" << static_cast<long>(st.resumed) << " resumed)";
     os << "\n";
     char rate[32];
     std::snprintf(rate, sizeof(rate), "%.1f", st.rate);
